@@ -220,19 +220,17 @@ func TestFusionInstrumentedWiring(t *testing.T) {
 	}
 }
 
-// TestFusionStepLoopByteIdentical: the batched StepN delivery and the
-// per-Step reference loop must produce byte-identical reports and
-// manifests with fusion live — the cross-batch carry makes the rewrite
+// TestFusionStepwiseByteIdentical: the batched StepN delivery and the
+// per-Step loop must produce byte-identical reports and manifests with
+// fusion live — the cross-batch carry makes the rewrite
 // batching-invariant on the real matrix, not just in unit tests.
-func TestFusionStepLoopByteIdentical(t *testing.T) {
+func TestFusionStepwiseByteIdentical(t *testing.T) {
 	ex := MatrixExperiment{
 		PathLength: true, CritPath: true, Scaled: true, Windowed: true,
 		Fusion: fusion.Config{RV64: true, A64: true, Rules: fusion.AllRules},
 	}
 	hotText, hotManifest := matrixArtifactsEx(t, ex)
-	step := ex
-	step.StepLoop = true
-	stepText, stepManifest := matrixArtifactsEx(t, step)
+	stepText, stepManifest := matrixArtifactsEx(t, stepwise(ex))
 	if !bytes.Equal(hotText, stepText) {
 		t.Fatal("fusion on: step-loop report text differs from batched")
 	}

@@ -1,27 +1,22 @@
-// Package benchdb is the benchmark observatory: an append-only,
-// crash-safe performance ledger that every bench writer appends to,
-// plus the host-fingerprint and noise-probe provenance that makes a
-// recorded number auditable. The paper's headline claims are ratio
-// measurements; this package is the controlled measurement around
-// them — it records *where* a number was measured (fingerprint),
-// *how noisy* the host was at the time (probe), and keeps the whole
-// longitudinal trajectory replayable after a crash (ledger).
+// Package benchdb records measurement provenance: the host
+// fingerprint that says where a number was measured and the noise
+// probe that says how noisy the host was at the time. The repo
+// benchmark stamps both onto every result so a recorded number is
+// auditable.
 package benchdb
 
 import (
-	"fmt"
 	"os"
 	"runtime"
 	"strconv"
 	"strings"
 )
 
-// Fingerprint identifies the measurement host. Two documents whose
+// Fingerprint identifies the measurement host. Two results whose
 // fingerprints differ on any identity field were measured on
-// different effective hardware and must not be ratio-compared: the
-// difference is host drift, not code regression. LoadAvg is recorded
-// for diagnosis but excluded from the identity key — load varies
-// within a host; it explains noise, it does not change the host.
+// different effective hardware: the difference is host drift, not
+// code regression. LoadAvg is diagnostic only — load varies within a
+// host; it explains noise, it does not change the host.
 type Fingerprint struct {
 	// CPUModel is the `model name` line from /proc/cpuinfo ("" when
 	// unreadable, e.g. non-Linux).
@@ -37,7 +32,6 @@ type Fingerprint struct {
 	// sysfs file is absent — VMs, containers, non-Linux).
 	Governor string `json:"governor,omitempty"`
 	// LoadAvg is the 1-minute load average at collection time.
-	// Diagnostic only: excluded from Key.
 	LoadAvg float64 `json:"load_avg,omitempty"`
 }
 
@@ -90,26 +84,4 @@ func cpuModel(cpuinfo string) string {
 		}
 	}
 	return ""
-}
-
-// Key is the host identity string: every field that changes the
-// meaning of a wall-time measurement, and nothing that merely varies
-// within a host (LoadAvg). Two documents are ratio-comparable exactly
-// when their keys are equal.
-func (f *Fingerprint) Key() string {
-	if f == nil {
-		return ""
-	}
-	return fmt.Sprintf("%s|cpu=%d|gomaxprocs=%d|%s|%s/%s|gov=%s",
-		f.CPUModel, f.NumCPU, f.GOMAXPROCS, f.GoVersion, f.OS, f.Arch, f.Governor)
-}
-
-// SameHost reports whether two fingerprints name the same effective
-// host, and whether that judgment is even possible (known is false
-// when either side predates fingerprints — legacy v1 documents).
-func SameHost(a, b *Fingerprint) (same, known bool) {
-	if a == nil || b == nil {
-		return false, false
-	}
-	return a.Key() == b.Key(), true
 }

@@ -8,16 +8,15 @@ import "time"
 // speed (frequency scaling, thermal state) and its dispersion tracks
 // the host's current measurement noise (preemption, co-tenants).
 // Because the work is identical in every run of every benchmark, a
-// shift in the probe median between two documents is host drift by
+// shift in the probe median between two results is host drift by
 // construction — the code under test never touches the probe.
 
 const (
 	// probeIters is the spin-loop trip count: ~1–3 ms per rep on
 	// contemporary hardware — long enough to ride over timer and
 	// scheduler granularity, short enough that a full probe
-	// (DefaultProbeReps reps plus warmup) costs ~10–20 ms and stays
-	// well under the 1% overhead budget of a seconds-long bench run
-	// (BENCH_PR10 pins this).
+	// (DefaultProbeReps reps plus warmup) costs ~10–20 ms, noise
+	// against a seconds-long bench run.
 	probeIters = 1 << 20
 	// DefaultProbeReps is how many timed reps writers use (plus one
 	// untimed warmup).
@@ -34,7 +33,7 @@ type Probe struct {
 	MinSeconds    float64 `json:"min_seconds"`
 	// CV is the robust coefficient of variation of the rep times
 	// (1.4826·MAD/median): the host's current relative measurement
-	// noise. Noise-aware gates widen their tolerance with it.
+	// noise.
 	CV float64 `json:"cv"`
 }
 

@@ -21,8 +21,7 @@ import (
 // and are renamed over the target; the directory is fsync'd last so
 // the rename itself is durable. A reader can observe the old file or
 // the new file but never a torn mixture — the property the manifest
-// writer, flight recorder, BENCH_*.json writers and journal
-// compaction all rely on.
+// writer, flight recorder and journal compaction all rely on.
 func WriteFileAtomic(path string, data []byte, perm os.FileMode) error {
 	dir := filepath.Dir(path)
 	tmp, err := os.CreateTemp(dir, "."+filepath.Base(path)+".tmp*")

@@ -387,3 +387,25 @@ func TestRunSurvivesJournalIOError(t *testing.T) {
 		t.Fatal("result lost to journal fault")
 	}
 }
+
+// BenchmarkJournalAppend prices the write-ahead journal at the hook:
+// one op is one fsynced cell-finished record with a ~2 KiB payload,
+// the size of a full-analysis matrix row.
+func BenchmarkJournalAppend(b *testing.B) {
+	payload, err := json.Marshal(map[string]string{"row": strings.Repeat("x", 1900)})
+	if err != nil {
+		b.Fatal(err)
+	}
+	rec := Record{Type: RecFinished, Workload: "lbm", Target: "RISC-V/GCC 12.2", Hash: strings.Repeat("ab", 32), Payload: payload}
+	j, err := OpenJournal(b.TempDir(), 0, nil)
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer j.Close()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := j.Append(rec); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

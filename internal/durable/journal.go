@@ -77,10 +77,6 @@ type Options struct {
 	// default os.OpenFile(O_CREATE|O_WRONLY|O_APPEND). Fault-injection
 	// hook.
 	OpenFile func(path string) (File, error)
-	// NoSync skips the per-record fsync — only for benchmarks that
-	// want to isolate the encoding cost from the disk cost. The
-	// crash-consistency argument in DESIGN.md assumes NoSync is off.
-	NoSync bool
 }
 
 func (o *Options) open(path string) (File, error) {
@@ -88,17 +84,6 @@ func (o *Options) open(path string) (File, error) {
 		return o.OpenFile(path)
 	}
 	return os.OpenFile(path, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
-}
-
-// OpenAppendFile opens path for appending through the Options hook.
-// It is the shared open path for the cell journal and the benchdb
-// performance ledger, so both see the same fault-injection wrappers
-// and the same NoSync escape hatch.
-func OpenAppendFile(path string, opts *Options) (File, error) {
-	if opts == nil {
-		opts = &Options{}
-	}
-	return opts.open(path)
 }
 
 // JournalPath returns the journal file location inside a run
@@ -155,10 +140,8 @@ func (j *Journal) Append(rec Record) error {
 	} else if n != len(line) {
 		return fmt.Errorf("%w: journal append: short write (%d of %d bytes)", simeng.ErrIO, n, len(line))
 	}
-	if !j.opts.NoSync {
-		if err := j.f.Sync(); err != nil {
-			return fmt.Errorf("%w: journal sync: %v", simeng.ErrIO, err)
-		}
+	if err := j.f.Sync(); err != nil {
+		return fmt.Errorf("%w: journal sync: %v", simeng.ErrIO, err)
 	}
 	j.seq++
 	return nil

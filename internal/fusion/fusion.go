@@ -109,8 +109,8 @@ type Config struct {
 	// spec names specific rules).
 	Rules RuleSet
 	// Attach forces the pass onto in-scope targets even when no rule
-	// can fire there — the bench-fusion hook for measuring the bare
-	// scan cost of an interposed pass that fuses nothing.
+	// can fire there: an interposed pass that fuses nothing, which
+	// must leave every result byte unchanged (TestAttachInert).
 	Attach bool
 }
 

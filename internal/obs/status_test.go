@@ -302,3 +302,25 @@ func TestSlowSubscriberDropsCounted(t *testing.T) {
 		t.Errorf("drained subscriber: sent/dropped = %d/%d, want 1/0", doc.EventsSent, doc.EventsDropped)
 	}
 }
+
+// BenchmarkMeterBatch prices the status-board meter at the hook: one
+// op is one engine-sized batch (4096 events) delivered to a batched
+// sink, bare and through a Meter feeding a live board.
+func BenchmarkMeterBatch(b *testing.B) {
+	evs := make([]isa.Event, 4096)
+	b.Run("bare", func(b *testing.B) {
+		inner := &batchSink{}
+		for i := 0; i < b.N; i++ {
+			inner.Events(evs)
+		}
+	})
+	b.Run("metered", func(b *testing.B) {
+		board := NewBoard("bench", nil)
+		board.Register("w", "t")
+		m := NewMeter(board, "w", "t", &batchSink{})
+		for i := 0; i < b.N; i++ {
+			m.Events(evs)
+		}
+		m.Flush()
+	})
+}

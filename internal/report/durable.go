@@ -20,12 +20,11 @@ import (
 // analysisSpec canonically serializes every experiment knob that can
 // change a cell's result: the analysis selection, window geometry,
 // latency model, retirement budget, and whether metrics counters are
-// collected. Execution-strategy knobs (Parallel, StepLoop) are
-// deliberately excluded — the PR 2 byte-identity contract guarantees
-// they cannot change a result — as are pure observers (progress,
-// status, profiler, flight recorder). Fault-injection hooks poison
-// the spec so an injected run can never seed the cache for a clean
-// one.
+// collected. Execution-strategy knobs (Parallel) are deliberately
+// excluded — the determinism contract guarantees they cannot change a
+// result — as are pure observers (progress, status, profiler, flight
+// recorder). Fault-injection hooks poison the spec so an injected run
+// can never seed the cache for a clean one.
 func analysisSpec(ex Experiment) string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "analysis/v1 pl=%t cp=%t sc=%t win=%t mix=%t gcc12=%t",

@@ -122,11 +122,6 @@ type Experiment struct {
 	// byte-identical for every value (see the README's determinism
 	// contract).
 	Parallel int
-	// StepLoop forces the core's per-Step reference loop instead of
-	// the batched StepN fast path. Results are byte-identical either
-	// way (pinned by tests); bench-hotpath uses it to measure the
-	// batching win.
-	StepLoop bool
 	// Fusion configures the macro-op fusion pass (internal/fusion):
 	// a stream rewrite interposed between the core and the analyses
 	// so path length, CP, windowed CP and ILP describe the fused
@@ -668,7 +663,7 @@ func runOne(ctx context.Context, prog *ir.Program, tgt cc.Target, ex Experiment,
 	}
 
 	emu := &simeng.EmulationCore{
-		MaxInstructions: ex.MaxInstructions, Ctx: ctx, StepLoop: ex.StepLoop,
+		MaxInstructions: ex.MaxInstructions, Ctx: ctx,
 		ProfileStages: ex.Prof.Enabled(),
 	}
 	if ex.Log != nil {

@@ -133,11 +133,6 @@ type EmulationCore struct {
 	// batched path) and the run stops with an ErrDeadline-kind
 	// SimError once it is done. A nil context costs nothing.
 	Ctx context.Context
-	// StepLoop forces the per-Step reference loop even when the
-	// machine supports batching. The batched/stepwise equivalence
-	// tests and the bench-hotpath baseline use it; production runs
-	// leave it false.
-	StepLoop bool
 	// Log, when set, receives one structured line per run: a debug
 	// completion record, or a warning carrying the classified failure.
 	// Nothing is logged inside the retirement loop, so the hot path is
@@ -214,7 +209,7 @@ func (c *EmulationCore) Run(m Machine, sink isa.Sink) (stats Stats, err error) {
 			}
 		}
 	}()
-	if bm, ok := m.(BatchMachine); ok && !c.StepLoop {
+	if bm, ok := m.(BatchMachine); ok {
 		if c.ProfileStages {
 			c.Stages = StageNs{}
 		}

@@ -1,9 +1,11 @@
 package simeng
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"testing"
+	"time"
 
 	"isacmp/internal/isa"
 )
@@ -62,18 +64,23 @@ type collectSink struct{ evs []isa.Event }
 
 func (c *collectSink) Event(ev *isa.Event) { c.evs = append(c.evs, *ev) }
 
+// stepOnly hides StepN (embedding only the Machine interface), so
+// EmulationCore.Run drives the machine through the per-Step loop
+// every non-BatchMachine takes.
+type stepOnly struct{ Machine }
+
 // batchCollectSink additionally takes the BatchSink fast path.
 type batchCollectSink struct{ collectSink }
 
 func (c *batchCollectSink) Events(evs []isa.Event) { c.evs = append(c.evs, evs...) }
 
-// TestStepNMatchesStepLoop runs the same script through the per-Step
-// reference loop and the batched loop and demands identical event
-// streams and stats, for totals straddling the batch size.
-func TestStepNMatchesStepLoop(t *testing.T) {
+// TestStepNMatchesStepwise runs the same script through the per-Step
+// loop and the batched loop and demands identical event streams and
+// stats, for totals straddling the batch size.
+func TestStepNMatchesStepwise(t *testing.T) {
 	for _, total := range []uint64{0, 1, 7, stepBatch - 1, stepBatch, stepBatch + 1, 3*stepBatch + 17} {
 		var ref, bat collectSink
-		refStats, err := (&EmulationCore{StepLoop: true}).Run(&scriptMachine{total: total}, &ref)
+		refStats, err := (&EmulationCore{}).Run(stepOnly{&scriptMachine{total: total}}, &ref)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -121,15 +128,19 @@ func TestStepNBatchSinkPath(t *testing.T) {
 	}
 }
 
-// TestStepLoopKnob verifies StepLoop forces the reference loop even
-// on a BatchMachine.
-func TestStepLoopKnob(t *testing.T) {
+// TestStepwiseWithoutStepN verifies a machine without StepN runs to
+// completion through the per-Step loop.
+func TestStepwiseWithoutStepN(t *testing.T) {
 	sm := &scriptMachine{total: 100}
-	if _, err := (&EmulationCore{StepLoop: true}).Run(sm, nil); err != nil {
+	stats, err := (&EmulationCore{}).Run(stepOnly{sm}, nil)
+	if err != nil {
 		t.Fatal(err)
 	}
 	if sm.stepNs != 0 {
-		t.Fatalf("StepLoop run called StepN %d times", sm.stepNs)
+		t.Fatalf("stepwise run called StepN %d times", sm.stepNs)
+	}
+	if stats.Instructions != 100 {
+		t.Fatalf("stepwise run retired %d, want 100", stats.Instructions)
 	}
 }
 
@@ -231,3 +242,38 @@ type countEvents struct{ n *uint64 }
 
 func (c *countEvents) Event(*isa.Event)       { *c.n++ }
 func (c *countEvents) Events(evs []isa.Event) { *c.n += uint64(len(evs)) }
+
+// countBatchSink counts events without copying them.
+type countBatchSink struct{ n int }
+
+func (c *countBatchSink) Event(*isa.Event)       { c.n++ }
+func (c *countBatchSink) Events(evs []isa.Event) { c.n += len(evs) }
+
+// BenchmarkWatchdogBatchLoop prices the armed watchdogs at the hook:
+// the batched loop run unarmed and with a wall-clock deadline and an
+// instruction budget armed but never firing. Compare the ns/event of
+// the two sub-benchmarks.
+func BenchmarkWatchdogBatchLoop(b *testing.B) {
+	const total = 64 * stepBatch
+	for _, bc := range []struct {
+		name  string
+		armed bool
+	}{{"unarmed", false}, {"armed", true}} {
+		b.Run(bc.name, func(b *testing.B) {
+			c := &EmulationCore{}
+			if bc.armed {
+				ctx, cancel := context.WithTimeout(context.Background(), time.Hour)
+				defer cancel()
+				c.Ctx, c.MaxInstructions = ctx, 1<<62
+			}
+			var sink countBatchSink
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := c.Run(&scriptMachine{total: total}, &sink); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/total, "ns/event")
+		})
+	}
+}

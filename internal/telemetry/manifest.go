@@ -15,8 +15,7 @@ import (
 )
 
 // ManifestSchema identifies the manifest document layout; bump on
-// incompatible change. Trajectory tooling (BENCH_*.json diffing)
-// matches on it. v2 added the optional `obs` block and per-failure
+// incompatible change. v2 added the optional `obs` block and per-failure
 // `postmortem` paths; v1 documents remain readable (ReadManifest).
 const ManifestSchema = "isacmp/run-manifest/v2"
 

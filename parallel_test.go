@@ -4,9 +4,11 @@ import (
 	"bytes"
 	"reflect"
 	"testing"
+	"time"
 
 	"isacmp/internal/prof"
 	"isacmp/internal/report"
+	"isacmp/internal/simeng"
 	"isacmp/internal/telemetry"
 )
 
@@ -23,7 +25,7 @@ func matrixArtifacts(t *testing.T, parallel int) (text, manifest []byte) {
 }
 
 // matrixArtifactsEx is matrixArtifacts over an arbitrary experiment —
-// the fusion suites reuse it with Fusion, StepLoop and Parallel set.
+// the fusion suites reuse it with Fusion, WrapMachine and Parallel set.
 func matrixArtifactsEx(t *testing.T, ex MatrixExperiment) (text, manifest []byte) {
 	t.Helper()
 	progs := Suite(Tiny)
@@ -50,20 +52,43 @@ func matrixArtifactsEx(t *testing.T, ex MatrixExperiment) (text, manifest []byte
 	return buf.Bytes(), mbuf.Bytes()
 }
 
+// stepOnly hides StepN (embedding only the Machine interface), so the
+// core drives the machine through the per-Step loop every
+// non-BatchMachine takes.
+type stepOnly struct{ simeng.Machine }
+
+// stepwise returns ex with every cell's machine wrapped in stepOnly.
+func stepwise(ex MatrixExperiment) MatrixExperiment {
+	ex.WrapMachine = func(_, _ string, _ int, m simeng.Machine) simeng.Machine { return stepOnly{m} }
+	return ex
+}
+
 // TestParallelByteIdentical enforces the -parallel determinism
 // contract: the full analysis matrix run sequentially and run over a
 // multi-worker pool (with per-cell trace fan-out and sharded windowed
 // CP) must produce byte-identical report text and byte-identical
-// canonicalized manifests.
+// canonicalized manifests. The same holds with every watchdog —
+// wall-clock deadline, instruction budget and retries — armed
+// generously enough that none fires.
 func TestParallelByteIdentical(t *testing.T) {
 	seqText, seqManifest := matrixArtifacts(t, 1)
-	for _, workers := range []int{2, 5} {
-		parText, parManifest := matrixArtifacts(t, workers)
-		if !bytes.Equal(seqText, parText) {
-			t.Fatalf("parallel=%d: report text differs from sequential", workers)
+	full := MatrixExperiment{PathLength: true, CritPath: true, Scaled: true, Windowed: true}
+	armed := full
+	armed.CellTimeout, armed.MaxInstructions = time.Hour, 1<<62
+	armed.Retries, armed.RetryBackoff = 2, 100*time.Millisecond
+	for _, v := range []struct {
+		name    string
+		ex      MatrixExperiment
+		workers int
+	}{{"bare", full, 2}, {"bare", full, 5}, {"watchdogs armed", armed, 1}, {"watchdogs armed", armed, 2}} {
+		ex := v.ex
+		ex.Parallel = v.workers
+		text, manifest := matrixArtifactsEx(t, ex)
+		if !bytes.Equal(seqText, text) {
+			t.Fatalf("%s, parallel=%d: report text differs from sequential", v.name, v.workers)
 		}
-		if !bytes.Equal(seqManifest, parManifest) {
-			t.Fatalf("parallel=%d: canonicalized manifest differs from sequential", workers)
+		if !bytes.Equal(seqManifest, manifest) {
+			t.Fatalf("%s, parallel=%d: canonicalized manifest differs from sequential", v.name, v.workers)
 		}
 	}
 }
