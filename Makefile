@@ -31,9 +31,10 @@ race:
 	$(GO) test -race ./...
 
 # differential runs the cross-core / cross-ISA trace-equivalence
-# harness and the -parallel determinism tests under the race detector.
+# harness, the -parallel determinism tests and the agreement of the
+# matrix, RunInstrumented and Analyse paths under the race detector.
 differential:
-	$(GO) test -race -count=1 -run 'TestDifferential|TestParallel|TestRunInstrumentedParallel' .
+	$(GO) test -race -count=1 -run 'TestDifferential|TestParallel|TestRunInstrumentedParallel|TestCrossPathAgreement' .
 
 # golden checks the pinned paper artifacts (Table 1/2, Figure 1/2,
 # canonical manifest) under the race detector. Regenerate after an
@@ -114,9 +115,15 @@ fuzz-smoke:
 	$(GO) test -fuzz FuzzJournalReplay -fuzztime 5s ./internal/durable
 
 # bench exercises the manifest path end to end: one instrumented run
-# per workload at tiny scale, written to a throwaway file, plus the
-# telemetry overhead micro-benchmark printed for eyeballing.
+# per cell at tiny scale, written to a throwaway file; then the same
+# cells on the OoO core with an L1D model and two workers, each
+# writing its pipeline trace (one file per cell: 5 workloads x 4
+# targets), plus the telemetry overhead micro-benchmark printed for
+# eyeballing.
 bench:
-	@tmp="$$(mktemp)"; trap 'rm -f "$$tmp"' EXIT; \
-	$(GO) run ./cmd/isacmp run -scale tiny -target all -metrics-json "$$tmp" && test -s "$$tmp"
+	@tmp="$$(mktemp -d)"; trap 'rm -rf "$$tmp"' EXIT; \
+	$(GO) run ./cmd/isacmp run -scale tiny -target all -metrics-json "$$tmp/m.json" && test -s "$$tmp/m.json" && \
+	$(GO) run ./cmd/isacmp run -scale tiny -target all -core ooo -cache -parallel 2 -trace "$$tmp/t.json" >/dev/null && \
+	n="$$(ls "$$tmp"/t-*.json | wc -l)" && \
+	if [ "$$n" -ne 20 ]; then echo "bench: $$n pipeline trace files, want 20 (one per cell)"; exit 1; fi
 	$(GO) test -run xxx -bench BenchmarkTelemetryOverhead -benchtime 1s .

@@ -11,24 +11,25 @@
 //	isacmp verify   [-scale tiny]                    simulated vs host reference
 //
 // -scale is tiny, small or paper. With no -bench, every benchmark
-// runs.
+// runs. Flags follow the subcommand, and each subcommand accepts only
+// the flags it reads: `isacmp <subcommand> -h` lists them, and any
+// other flag is a usage error (exit 2).
 //
-// Observability flags (every subcommand): -json writes a run manifest
-// (schema isacmp/run-manifest/v2); -progress prints a retire-rate
-// heartbeat to stderr; -cpuprofile/-memprofile write pprof profiles;
-// -serve ADDR exposes /metrics (Prometheus text), /statusz (live
-// matrix state), /events (SSE lifecycle stream), /healthz, /readyz
-// and /debug/pprof for the duration of the command; -log-level and
-// -log-format control the structured stderr log; -flight-dir arms the
-// per-cell flight recorder (post-mortem JSON on cell death, ring size
-// -flight-events); -profile records per-stage span timelines on
-// per-worker lanes (served on /profilez, summarized on /statusz,
-// exported as Chrome-trace JSON via -profile-trace or
-// /profilez?format=chrome). The run subcommand adds -core
-// emulation|inorder|ooo, -cache, -metrics-json (alias of -json),
-// -trace (Chrome-trace JSON of pipeline timing, loadable in
-// chrome://tracing), -trace-format chrome|jsonl, -trace-cap and
-// -trace-sample.
+// Every subcommand takes -json (a run manifest, schema
+// isacmp/run-manifest/v2; -metrics-json is an alias),
+// -cpuprofile/-memprofile (pprof profiles), -serve ADDR (/metrics,
+// /statusz, /events, /healthz, /readyz and /debug/pprof for the
+// duration of the command) and -log-level/-log-format (the structured
+// stderr log). The subcommands that run cells (pathlen, critpath,
+// scaledcp, windowcp, mix, all, run) add the engine, resilience and
+// durability flags plus -progress (a retire-rate heartbeat),
+// -flight-dir (the per-cell flight recorder, ring size -flight-events)
+// and -profile (per-stage span timelines on per-worker lanes, exported
+// as Chrome-trace JSON via -profile-trace or /profilez?format=chrome).
+// The run subcommand is the same cell engine with a timing model:
+// -core emulation|inorder|ooo, -cache, -target, and -trace
+// (Chrome-trace JSON of pipeline timing, loadable in chrome://tracing)
+// with -trace-format chrome|jsonl, -trace-cap and -trace-sample.
 package main
 
 import (
@@ -36,10 +37,8 @@ import (
 	"errors"
 	"flag"
 	"fmt"
-	"log/slog"
 	"os"
 	"strings"
-	"sync/atomic"
 	"time"
 
 	"isacmp"
@@ -66,7 +65,7 @@ func main() {
 		os.Exit(2)
 	}
 	cmd := os.Args[1]
-	fs := flag.NewFlagSet(cmd, flag.ExitOnError)
+	fs := flag.NewFlagSet(cmd, flag.ContinueOnError)
 	scaleFlag := fs.String("scale", "small", "problem size: tiny, small or paper")
 	benchFlag := fs.String("bench", "", "run a single benchmark (stream, cloverleaf, minibude, lbm, minisweep)")
 	workloadFlag := fs.String("workload", "", "alias of -bench")
@@ -103,7 +102,15 @@ func main() {
 	profileTraceFlag := fs.String("profile-trace", "", "write the -profile span timelines as Chrome-trace JSON to this file at exit (implies -profile)")
 	durableDirFlag := fs.String("durable-dir", "", "arm crash-safe running: a write-ahead cell journal plus content-addressed result cache in this directory")
 	resumeFlag := fs.String("resume", "", "resume an interrupted run from this durability directory: replay the journal, verify hashes, recompute only unfinished cells")
-	if err := fs.Parse(os.Args[2:]); err != nil {
+	cmdFlags, ok := commandFlagSet(cmd, fs)
+	if !ok {
+		usage()
+		os.Exit(report.ExitUsage)
+	}
+	if err := cmdFlags.Parse(os.Args[2:]); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			os.Exit(report.ExitOK)
+		}
 		os.Exit(report.ExitUsage)
 	}
 	if *workloadFlag != "" {
@@ -282,6 +289,7 @@ func main() {
 		failedCells += runExperiment(progs, scale, ex, manifest, text, func(p *ir.Program, rows []report.Row) {
 			if text {
 				report.WriteCritPaths(os.Stdout, p.Name, rows, true)
+				report.WriteFusion(os.Stdout, p.Name, rows)
 			}
 		})
 	case "windowcp":
@@ -337,37 +345,33 @@ func main() {
 			report.WriteSummaries(os.Stdout, summaries)
 		}
 	case "run":
-		cfg := runCmdConfig{
-			core:         *coreFlag,
-			cache:        *cacheFlag,
-			fusion:       fusionCfg,
-			target:       *targetFlag,
-			trace:        *traceFlag,
-			traceFormat:  *traceFormatFlag,
-			traceCap:     *traceCapFlag,
-			traceSample:  *traceSampleFlag,
-			parallel:     *parallelFlag,
-			progress:     *progressFlag,
-			text:         text,
-			cellTimeout:  *cellTimeoutFlag,
-			maxInst:      *maxInstFlag,
-			retries:      *retriesFlag,
-			backoff:      *retryBackoffFlag,
-			failFast:     *failFastFlag,
-			log:          log,
-			runID:        runID,
-			board:        board,
-			flightDir:    *flightDirFlag,
-			flightEvents: *flightEventsFlag,
-			ctx:          hardCtx,
-			drain:        drainCtx,
-			durable:      drun,
+		ex := baseEx
+		ex.Mix, ex.Core, ex.Cache = true, *coreFlag, *cacheFlag
+		if *traceFlag != "" {
+			ex.Trace = func() *telemetry.PipelineTrace {
+				return telemetry.NewPipelineTrace(*traceCapFlag, *traceSampleFlag)
+			}
 		}
-		n, err := runInstrumented(progs, cfg, reg, manifest)
+		if err := ex.Validate(); err != nil {
+			usageFatal(err)
+		}
+		targets := isacmp.Targets()
+		if *targetFlag != "all" {
+			tgt, err := parseTarget(*targetFlag)
+			if err != nil {
+				fatal(err)
+			}
+			targets = []isacmp.Target{tgt}
+		}
+		all, st, err := report.RunTargets(progs, targets, ex)
 		if err != nil {
 			fatal(err)
 		}
-		failedCells += n
+		manifest.Sched = st
+		failedCells += report.CountFailures(all)
+		if err := writeRuns(progs, all, manifest, text, *traceFlag, *traceFormatFlag); err != nil {
+			fatal(err)
+		}
 	case "artifacts":
 		if err := report.WriteArtifacts(*dirFlag, progs); err != nil {
 			fatal(err)
@@ -398,9 +402,6 @@ func main() {
 				fmt.Printf("%-12s %-18s OK\n", p.Name, tgt)
 			}
 		}
-	default:
-		usage()
-		os.Exit(2)
 	}
 
 	if drun != nil {
@@ -459,327 +460,53 @@ func runExperiment(progs []*ir.Program, scale workloads.Scale, ex report.Experim
 	return report.CountFailures(all)
 }
 
-// runCmdConfig carries the `run` subcommand's knobs.
-type runCmdConfig struct {
-	core        string
-	cache       bool
-	fusion      fusion.Config
-	target      string
-	trace       string
-	traceFormat string
-	traceCap    int
-	traceSample uint64
-	parallel    int
-	progress    bool
-	text        bool
-	cellTimeout time.Duration
-	maxInst     uint64
-	retries     int
-	backoff     time.Duration
-	failFast    bool
-
-	log          *slog.Logger
-	runID        string
-	board        *obs.Board
-	flightDir    string
-	flightEvents int
-
-	// Durability and interrupt wiring (see installDrainHandler): ctx
-	// hard-cancels in-flight cells, drain stops new work gracefully,
-	// durable is the shared crash-safety handle.
-	ctx     context.Context
-	drain   context.Context
-	durable *isacmp.DurableRun
-}
-
-// instrCell is one (workload, target) slot of the run subcommand.
-type instrCell struct {
-	prog    *ir.Program
-	tgt     isacmp.Target
-	rec     isacmp.RunRecord
-	tracer  *isacmp.PipelineTrace
-	failure *telemetry.FailureRecord
-	// served marks a cell replayed from the durability journal or
-	// content cache instead of computed (nil-Result contract of
-	// RunInstrumented); the status board already saw its terminal
-	// transition.
-	served bool
-}
-
-// runInstrumented is the `run` subcommand: execute each selected
-// benchmark on the chosen core model with full telemetry — whole-run
-// metrics, per-sink overhead, optional pipeline trace — and append
-// one record per run to the manifest. The (workload, target) cells fan
-// out over the -parallel worker pool; records are collected into
-// per-cell slots and printed in the fixed loop order afterwards, so
-// the table and manifest are deterministic for every worker count.
-// With a single cell the parallelism budget moves inside the run (the
-// fan-out analysis engine) instead.
-//
-// Cells run under the same resilience policy as the matrix engine:
-// guarded, retried, deadline-reaped; failed cells print FAILED rows
-// and land in the manifest failures block. The FAILED-cell count is
-// returned so main can exit with the partial code.
-func runInstrumented(progs []*ir.Program, cfg runCmdConfig, reg *telemetry.Registry, manifest *telemetry.Manifest) (int, error) {
-	var targets []isacmp.Target
-	if cfg.target == "all" {
-		targets = isacmp.Targets()
-	} else {
-		tgt, err := parseTarget(cfg.target)
-		if err != nil {
-			return 0, err
-		}
-		targets = []isacmp.Target{tgt}
-	}
-
-	var cells []*instrCell
-	for _, p := range progs {
-		for _, tgt := range targets {
-			cells = append(cells, &instrCell{prog: p, tgt: tgt})
-			cfg.board.Register(p.Name, tgt.String())
-		}
-	}
-	inner := 1
-	if len(cells) == 1 {
-		inner = cfg.parallel
-	}
-	cfg.board.SetWorkers(sched.DefaultWorkers(cfg.parallel))
-
-	root := cfg.ctx
-	if root == nil {
-		root = context.Background()
-	}
-	ctx, cancel := context.WithCancel(root)
-	defer cancel()
-	var firstFail atomic.Value
-	pool := sched.NewPool(cfg.parallel, reg)
-	pool.Log = cfg.log
-	for _, c := range cells {
-		c := c
-		pool.Go(func() {
-			c.failure = runInstrumentedCell(ctx, c, cfg, reg, inner)
-			if c.failure != nil && cfg.failFast {
-				firstFail.CompareAndSwap(nil, c.failure)
-				cancel()
-			}
-		})
-	}
-	pool.Close()
-	st := pool.Stats()
-	manifest.Sched = &st
-	if n, first := pool.Panics(); n > 0 {
-		return 0, fmt.Errorf("%d run cell(s) panicked past every guard; first: %s", n, first)
-	}
-	if f, ok := firstFail.Load().(*telemetry.FailureRecord); ok {
-		return 0, fmt.Errorf("%s/%s failed (%s): %s", f.Workload, f.Target, f.Reason, f.Message)
-	}
-
-	failed := 0
-	if cfg.text {
+// writeRuns prints the run subcommand's table — one line of core
+// stats per cell, FAILED rows included — appends the cells to the
+// manifest and writes each traced cell's pipeline trace, one file per
+// cell when there are several.
+func writeRuns(progs []*ir.Program, all [][]report.Row, manifest *telemetry.Manifest, text bool, trace, format string) error {
+	if text {
 		fmt.Printf("%-12s %-18s %-10s %14s %14s %8s %10s %10s\n",
 			"workload", "target", "core", "instructions", "cycles", "IPC", "Minst/s", "wall")
 	}
-	for _, c := range cells {
-		if f := c.failure; f != nil {
-			failed++
-			manifest.Failures = append(manifest.Failures, *f)
-			if cfg.text {
-				fmt.Printf("%-12s %-18s FAILED(%s) after %d attempt(s)\n",
-					c.prog.Name, c.tgt, f.Reason, f.Attempts)
+	cells := 0
+	for _, rows := range all {
+		cells += len(rows)
+	}
+	for i, p := range progs {
+		for _, r := range all[i] {
+			if f := r.Failure; f != nil {
+				manifest.Failures = append(manifest.Failures, *f)
+				if text {
+					fmt.Printf("%-12s %-18s FAILED(%s) after %d attempt(s)\n",
+						p.Name, r.Target, f.Reason, f.Attempts)
+				}
+				continue
 			}
-			continue
-		}
-		manifest.Runs = append(manifest.Runs, c.rec)
-		if cfg.text {
-			fmt.Printf("%-12s %-18s %-10s %14d %14d %8.2f %10.1f %9.3fs\n",
-				c.prog.Name, c.tgt, c.rec.Core.Model, c.rec.Core.Instructions, c.rec.Core.Cycles,
-				c.rec.Core.IPC(), c.rec.MIPS, c.rec.WallSeconds)
-		}
-		if c.tracer != nil {
-			path := tracePath(cfg.trace, c.prog.Name, c.tgt, len(cells))
-			if err := writeTrace(c.tracer, path, cfg.traceFormat); err != nil {
-				return failed, err
+			// A run record carries the cell's counter delta, like the
+			// records RunInstrumented returns.
+			rec := report.RowRecord(p.Name, r)
+			rec.Counters = r.Counters
+			manifest.Runs = append(manifest.Runs, rec)
+			if text {
+				fmt.Printf("%-12s %-18s %-10s %14d %14d %8.2f %10.1f %9.3fs\n",
+					p.Name, r.Target, rec.Core.Model, rec.Core.Instructions, rec.Core.Cycles,
+					rec.Core.IPC(), rec.MIPS, rec.WallSeconds)
 			}
-			if cfg.text {
+			if r.Trace == nil {
+				continue
+			}
+			path := tracePath(trace, p.Name, r.Target, cells)
+			if err := writeTrace(r.Trace, path, format); err != nil {
+				return err
+			}
+			if text {
 				fmt.Printf("  pipeline trace: %s (%d spans, %d overwritten)\n",
-					path, len(c.tracer.Spans()), c.tracer.Dropped())
+					path, len(r.Trace.Spans()), r.Trace.Dropped())
 			}
 		}
 	}
-	return failed, nil
-}
-
-// runInstrumentedCell runs one cell with retries; it returns nil on
-// success (filling c.rec/c.tracer) or the cell's failure record.
-func runInstrumentedCell(ctx context.Context, c *instrCell, cfg runCmdConfig, reg *telemetry.Registry, inner int) *telemetry.FailureRecord {
-	workload, target := c.prog.Name, c.tgt.String()
-	clog := slogx.OrNop(cfg.log).With(slogx.KeyWorkload, workload, slogx.KeyTarget, target)
-	attempts := cfg.retries + 1
-	var history []telemetry.AttemptRecord
-	var last *simeng.SimError
-	postmortem := ""
-	var drainCh <-chan struct{}
-	if cfg.drain != nil {
-		drainCh = cfg.drain.Done()
-	}
-	for attempt := 1; attempt <= attempts; attempt++ {
-		if attempt > 1 && cfg.backoff > 0 {
-			// Context-aware backoff: a pending sleep never delays
-			// cancellation or a graceful drain.
-			select {
-			case <-time.After(cfg.backoff << (attempt - 2)):
-			case <-ctx.Done():
-			case <-drainCh:
-			}
-		}
-		if cause := ctx.Err(); cause != nil || (cfg.drain != nil && cfg.drain.Err() != nil) {
-			if cause == nil {
-				cause = cfg.drain.Err()
-			}
-			last = simeng.WithCell(&simeng.SimError{Kind: simeng.ErrDeadline, Err: cause},
-				workload, target)
-			history = append(history, telemetry.AttemptRecord{
-				Attempt: attempt, Reason: simeng.Reason(last), Message: last.Error(),
-			})
-			break
-		}
-		cfg.board.Running(workload, target, attempt)
-		err := runInstrumentedAttempt(ctx, c, cfg, reg, inner, attempt)
-		if err == nil {
-			if attempt > 1 {
-				c.rec.Retries = attempt - 1
-			}
-			if c.served {
-				// RunInstrumented already drove the board through its
-				// terminal served transition; feeding the replayed wall
-				// time into the EWMAs would poison the ETA.
-				clog.Debug("run cell served", slogx.KeyAttempt, attempt,
-					"retired", c.rec.Core.Instructions)
-				return nil
-			}
-			cfg.board.Done(workload, target, c.rec.WallSeconds, c.rec.Core.Instructions)
-			clog.Debug("run cell done", slogx.KeyAttempt, attempt,
-				"retired", c.rec.Core.Instructions, "wall_seconds", c.rec.WallSeconds)
-			return nil
-		}
-		last = simeng.WithCell(err, workload, target)
-		// RunInstrumented dumps post-mortems at deterministic paths; a
-		// watchdog-abandoned attempt never dumps, so stat decides.
-		if cfg.flightDir != "" {
-			if p := obs.PostmortemPath(cfg.flightDir, workload, target, attempt); fileExists(p) {
-				postmortem = p
-			}
-		}
-		history = append(history, telemetry.AttemptRecord{
-			Attempt: attempt, Reason: simeng.Reason(last), Message: last.Error(),
-		})
-		clog.Warn("run cell attempt failed", slogx.KeyAttempt, attempt,
-			"reason", simeng.Reason(last), "err", last.Error())
-		if errors.Is(last, simeng.ErrDeadline) && ctx.Err() != nil {
-			break
-		}
-		if attempt < attempts {
-			cfg.board.Retrying(workload, target, attempt, simeng.Reason(last))
-		}
-	}
-	cfg.board.Failed(workload, target, len(history), simeng.Reason(last))
-	clog.Error("run cell failed", "attempts", len(history), "reason", simeng.Reason(last))
-	return &telemetry.FailureRecord{
-		Workload:   workload,
-		Target:     target,
-		Reason:     simeng.Reason(last),
-		Message:    last.Error(),
-		PC:         last.PC,
-		Retired:    last.Retired,
-		Attempts:   len(history),
-		History:    history,
-		Postmortem: postmortem,
-	}
-}
-
-// fileExists reports whether path names an existing file.
-func fileExists(path string) bool {
-	_, err := os.Stat(path)
-	return err == nil
-}
-
-// runInstrumentedAttempt runs one attempt under the panic guard and,
-// when -cell-timeout is set, a watchdog goroutine that reaps hung
-// attempts. Results travel through the buffered channel so an
-// abandoned attempt never races the caller's cell slot.
-func runInstrumentedAttempt(ctx context.Context, c *instrCell, cfg runCmdConfig, reg *telemetry.Registry, inner, attempt int) error {
-	cellCtx := ctx
-	if cfg.cellTimeout > 0 {
-		var cancel context.CancelFunc
-		cellCtx, cancel = context.WithTimeout(ctx, cfg.cellTimeout)
-		defer cancel()
-	}
-	type attemptResult struct {
-		rec    isacmp.RunRecord
-		tracer *isacmp.PipelineTrace
-		served bool
-		err    error
-	}
-	run := func() attemptResult {
-		var res attemptResult
-		res.err = simeng.Guard(func() error {
-			bin, err := isacmp.Compile(c.prog, c.tgt)
-			if err != nil {
-				return err
-			}
-			rc := isacmp.RunConfig{
-				Core:            cfg.core,
-				Cache:           cfg.cache,
-				Fusion:          cfg.fusion,
-				Analyses:        isacmp.Analyses{Mix: true, Branches: true},
-				Metrics:         reg,
-				Parallel:        inner,
-				Ctx:             cellCtx,
-				MaxInstructions: cfg.maxInst,
-				Log:             cfg.log,
-				RunID:           cfg.runID,
-				Attempt:         attempt,
-				Status:          cfg.board,
-				FlightDir:       cfg.flightDir,
-				FlightEvents:    cfg.flightEvents,
-				Durable:         cfg.durable,
-			}
-			if cfg.progress {
-				rc.Progress = os.Stderr
-				rc.ProgressFinalOnly = !slogx.IsTerminal(os.Stderr)
-			}
-			if cfg.trace != "" {
-				res.tracer = isacmp.NewPipelineTrace(cfg.traceCap, cfg.traceSample)
-				rc.Trace = res.tracer
-			}
-			out, rec, err := bin.RunInstrumented(rc)
-			if err != nil {
-				return err
-			}
-			res.rec = rec
-			res.served = out == nil // nil-Result contract: served, not computed
-			return nil
-		})
-		return res
-	}
-	apply := func(res attemptResult) error {
-		if res.err != nil {
-			return res.err
-		}
-		c.rec, c.tracer, c.served = res.rec, res.tracer, res.served
-		return nil
-	}
-	if cfg.cellTimeout <= 0 {
-		return apply(run())
-	}
-	ch := make(chan attemptResult, 1)
-	go func() { ch <- run() }()
-	select {
-	case res := <-ch:
-		return apply(res)
-	case <-cellCtx.Done():
-		return &simeng.SimError{Kind: simeng.ErrDeadline, Err: cellCtx.Err()}
-	}
+	return nil
 }
 
 // tracePath derives a per-run trace filename when several runs would
@@ -797,7 +524,7 @@ func tracePath(base, workload string, tgt isacmp.Target, nruns int) string {
 	return fmt.Sprintf("%s-%s-%s%s", stem, workload, tag, ext)
 }
 
-func writeTrace(t *isacmp.PipelineTrace, path, format string) error {
+func writeTrace(t *telemetry.PipelineTrace, path, format string) error {
 	f, err := os.Create(path)
 	if err != nil {
 		return err
@@ -1031,8 +758,53 @@ func selectBenchmarks(name string, s workloads.Scale) ([]*ir.Program, error) {
 	return report.SelectBenchmarks(name, s)
 }
 
+// Every subcommand reads commonFlags; the matrix subcommands and run
+// also read cellFlags (engine, resilience, durability and per-cell
+// observers).
+const (
+	commonFlags = "scale bench workload json metrics-json cpuprofile memprofile serve log-level log-format"
+	cellFlags   = "fusion parallel progress cell-timeout retries retry-backoff fail-fast max-instructions " +
+		"flight-dir flight-events profile profile-trace durable-dir resume"
+)
+
+// subcommandFlags lists the flags each subcommand reads beyond
+// commonFlags.
+var subcommandFlags = map[string]string{
+	"pathlen":   cellFlags,
+	"critpath":  cellFlags,
+	"scaledcp":  cellFlags + " latency-file",
+	"windowcp":  cellFlags + " stride",
+	"mix":       cellFlags,
+	"all":       cellFlags + " stride",
+	"run":       cellFlags + " target core cache trace trace-format trace-cap trace-sample",
+	"artifacts": "dir",
+	"disasm":    "kernel target",
+	"trace":     "kernel target n",
+	"blocks":    "target n",
+	"verify":    "",
+}
+
+// commandFlagSet returns the flag set of subcommand cmd: the flags of
+// all that cmd reads, sharing their values. A flag the subcommand does
+// not read is undefined on it, so setting one is a usage error naming
+// the flag, and -h lists only the subcommand's own flags. ok is false
+// for an unknown subcommand.
+func commandFlagSet(cmd string, all *flag.FlagSet) (fs *flag.FlagSet, ok bool) {
+	names, ok := subcommandFlags[cmd]
+	if !ok {
+		return nil, false
+	}
+	fs = flag.NewFlagSet("isacmp "+cmd, flag.ContinueOnError)
+	fs.SetOutput(all.Output())
+	for _, name := range strings.Fields(commonFlags + " " + names) {
+		f := all.Lookup(name)
+		fs.Var(f.Value, f.Name, f.Usage)
+	}
+	return fs, true
+}
+
 func usage() {
-	fmt.Fprintln(os.Stderr, `usage: isacmp <command> [flags]
+	fmt.Fprintln(os.Stderr, `usage: isacmp <command> [flags]   (isacmp <command> -h lists its flags)
 
 commands:
   pathlen    per-kernel dynamic instruction counts    (Figure 1)

@@ -19,10 +19,10 @@ import (
 
 // analysisSpec canonically serializes every experiment knob that can
 // change a cell's result: the analysis selection, window geometry,
-// latency model, retirement budget, and whether metrics counters are
-// collected. Execution-strategy knobs (Parallel) are deliberately
-// excluded — the determinism contract guarantees they cannot change a
-// result — as are pure observers (progress, status, profiler, flight
+// latency model, timing model, retirement budget, and whether metrics
+// counters are collected. Execution-strategy knobs (Parallel) are
+// deliberately excluded — the determinism contract guarantees they
+// cannot change a result — as are pure observers (progress, status, profiler, flight
 // recorder). Fault-injection hooks poison the spec so an injected run
 // can never seed the cache for a clean one.
 func analysisSpec(ex Experiment) string {
@@ -34,6 +34,14 @@ func analysisSpec(ex Experiment) string {
 	if ex.Latencies != nil {
 		fmt.Fprintf(&b, " lat=%v", *ex.Latencies)
 	}
+	// Knobs the matrix subcommands never set are appended only when
+	// set, so their keys — and existing caches — stay valid.
+	if ex.DepDistances {
+		b.WriteString(" dep=true")
+	}
+	if ex.Core != "" && ex.Core != "emulation" {
+		fmt.Fprintf(&b, " core=%s cache=%t", ex.Core, ex.Cache)
+	}
 	if ex.WrapMachine != nil || ex.WrapSink != nil {
 		fmt.Fprintf(&b, " wrapped=true")
 	}
@@ -42,19 +50,20 @@ func analysisSpec(ex Experiment) string {
 
 // cellHash content-addresses one (workload, target) cell: engine
 // version, workload name, target, the compiled ELF bytes the machine
-// actually loads, the analysis spec and the fusion spec. Compiling
-// for the hash costs microseconds against the cell's simulation and
-// is exactly what makes the address honest — a compiler change
+// actually loads (the cell's own code when it was compiled with
+// non-default options), the analysis spec and the fusion spec.
+// Compiling for the hash costs microseconds against the cell's
+// simulation and is exactly what makes the address honest — a compiler change
 // invalidates the cache with no versioning ceremony.
-func cellHash(prog *ir.Program, tgt cc.Target, ex Experiment) (string, error) {
-	compiled, err := cc.Compile(prog, tgt)
+func cellHash(c cell, ex Experiment) (string, error) {
+	compiled, err := c.compile()
 	if err != nil {
 		return "", err
 	}
 	return durable.KeyInput{
 		Engine:   durable.EngineVersion,
-		Workload: prog.Name,
-		Target:   tgt.String(),
+		Workload: c.prog.Name,
+		Target:   c.tgt.String(),
 		Code:     compiled.File.Write(),
 		Analysis: analysisSpec(ex),
 		Fusion:   ex.Fusion.Spec(),
@@ -111,6 +120,7 @@ func replayRow(hit *durable.Hit, hash string, prog *ir.Program, tgt cc.Target, e
 			"source", hit.Source, "payload_target", row.Target.String())
 		return Row{}, false
 	}
+	row.Served = hit.Source
 	telemetry.ApplyCounters(ex.Metrics, row.Counters)
 	if hit.Source == "cache" {
 		journalFinished(ex, prog.Name, tgt.String(), hash, &row, true, clog)

@@ -131,6 +131,33 @@ func TestDurableResumeAfterTruncatedJournal(t *testing.T) {
 	}
 }
 
+// TestDurableAnalysisSpec pins the content-address spec: the matrix
+// subcommands' keys stay byte-identical (so existing caches keep
+// serving them), and the timing-model and dependency-distance knobs
+// reach the key only when set.
+func TestDurableAnalysisSpec(t *testing.T) {
+	reg := telemetry.NewRegistry()
+	for _, c := range []struct {
+		ex   Experiment
+		want string
+	}{
+		{Experiment{PathLength: true, CritPath: true, Scaled: true, Windowed: true, Metrics: reg},
+			"analysis/v1 pl=true cp=true sc=true win=true mix=false gcc12=false sizes=[] stride=0 maxinstr=0 metrics=true"},
+		{Experiment{Windowed: true, GCC12Only: true, WindowStride: 8, Metrics: reg},
+			"analysis/v1 pl=false cp=false sc=false win=true mix=false gcc12=true sizes=[] stride=8 maxinstr=0 metrics=true"},
+		{Experiment{Mix: true, Core: "emulation", Metrics: reg},
+			"analysis/v1 pl=false cp=false sc=false win=false mix=true gcc12=false sizes=[] stride=0 maxinstr=0 metrics=true"},
+		{Experiment{Mix: true, Core: "ooo", Cache: true, Metrics: reg},
+			"analysis/v1 pl=false cp=false sc=false win=false mix=true gcc12=false sizes=[] stride=0 maxinstr=0 metrics=true core=ooo cache=true"},
+		{Experiment{DepDistances: true, Core: "inorder"},
+			"analysis/v1 pl=false cp=false sc=false win=false mix=false gcc12=false sizes=[] stride=0 maxinstr=0 metrics=false dep=true core=inorder cache=false"},
+	} {
+		if got := analysisSpec(c.ex); got != c.want {
+			t.Errorf("analysisSpec = %q, want %q", got, c.want)
+		}
+	}
+}
+
 // TestDurableWarmCacheZeroRecompute pins the content-cache contract: a
 // second Open of the same directory (fresh journal, persisted cache)
 // serves every cell from cache, recomputes zero, and still produces

@@ -1,6 +1,6 @@
 package report
 
-// The exit-code contract every cmd/ binary follows (documented in the
+// The exit-code contract the isacmp command follows (documented in the
 // README's failure-semantics section):
 //
 //	0  every requested cell produced a result

@@ -1,7 +1,10 @@
 // Package report drives the paper's experiments end to end and
 // renders their tables and figure series as text: Figure 1 (per-kernel
 // path lengths), Table 1 (critical paths), Table 2 (scaled critical
-// paths) and Figure 2 (mean ILP per window). The cmd/ tools and the
+// paths) and Figure 2 (mean ILP per window). It holds the one cell
+// engine: RunSuite, RunTargets and RunCompiled all run cells through
+// the same plan of analysis sinks, attempt loop, durability layer and
+// observers. The isacmp command, the public isacmp API and the
 // benchmark harness are thin wrappers around this package.
 package report
 
@@ -47,8 +50,14 @@ type Row struct {
 	ScaledRuntime float64
 	Windows       []core.WindowResult
 	MixCounts     []core.GroupCount
+	BranchCount   uint64 `json:",omitempty"`
 	BranchDensity float64
 	BranchTaken   float64
+	// MeanDepDistance and ShortDepFraction16 are the DepDistances
+	// analysis: mean producer→consumer distance and the fraction of
+	// edges shorter than 16 instructions.
+	MeanDepDistance    float64 `json:",omitempty"`
+	ShortDepFraction16 float64 `json:",omitempty"`
 
 	// Core is the uniform per-core stat block of the run.
 	Core simeng.PipelineStats
@@ -71,6 +80,12 @@ type Row struct {
 	// the property that keeps canonical metrics byte-identical across
 	// a kill. Nil when the experiment carries no registry.
 	Counters map[string]uint64
+	// Trace is the pipeline tracer the cell recorded into when the
+	// experiment asked for one (Experiment.Trace).
+	Trace *telemetry.PipelineTrace `json:"-"`
+	// Served names where a durable hit came from ("journal" or
+	// "cache") when the row was replayed instead of computed.
+	Served string `json:"-"`
 
 	// Attempts is how many attempts this cell took (1 = first try).
 	Attempts int
@@ -129,6 +144,23 @@ type Experiment struct {
 	// is constructed at all and output is byte-identical to a build
 	// without the feature.
 	Fusion fusion.Config
+	// DepDistances attaches the producer→consumer distance analysis,
+	// the quantity behind the paper's Figure 2 small-window
+	// interpretation.
+	DepDistances bool
+
+	// Core selects the timing model every cell runs on: "" or
+	// "emulation" (the functional core, one cycle per instruction),
+	// "inorder" or "ooo". A finite-resource model is one more sink on
+	// the cell's (possibly fused) stream and supplies Row.Core.
+	Core string
+	// Cache attaches the default L1D model to the inorder/ooo core.
+	Cache bool
+	// Trace, when non-nil, returns the pipeline tracer a cell attempt
+	// records its core's timing into; the successful attempt's tracer
+	// comes back as Row.Trace. A traced cell is never served from or
+	// journaled into the durability layer: a trace cannot be replayed.
+	Trace func() *telemetry.PipelineTrace
 
 	// Resilience knobs (see the README's failure-semantics section).
 	// All default to off, which keeps fault-free runs byte-identical
@@ -250,6 +282,11 @@ func (ex Experiment) Validate() error {
 		return fmt.Errorf("report: -flight-events %d is negative (0 selects the default ring of %d)",
 			ex.FlightEvents, obs.DefaultFlightEvents)
 	}
+	switch ex.Core {
+	case "", "emulation", "inorder", "ooo":
+	default:
+		return fmt.Errorf("report: unknown core %q (want emulation, inorder or ooo)", ex.Core)
+	}
 	return nil
 }
 
@@ -321,10 +358,16 @@ func CollectFailures(all [][]Row) []telemetry.FailureRecord {
 // mode — the first cell failure, which also cancels the remaining
 // cells.
 func RunSuite(progs []*ir.Program, ex Experiment) ([][]Row, *telemetry.SchedStats, error) {
+	return RunTargets(progs, ex.Targets(), ex)
+}
+
+// RunTargets is RunSuite over an explicit list of target columns
+// (rows[workload][target] in the given order) — the form `isacmp run
+// -target` uses.
+func RunTargets(progs []*ir.Program, targets []cc.Target, ex Experiment) ([][]Row, *telemetry.SchedStats, error) {
 	if err := ex.Validate(); err != nil {
 		return nil, nil, err
 	}
-	targets := ex.Targets()
 	all := make([][]Row, len(progs))
 	root := ex.Ctx
 	if root == nil {
@@ -357,7 +400,7 @@ func RunSuite(progs []*ir.Program, ex Experiment) ([][]Row, *telemetry.SchedStat
 		for ti := range targets {
 			pi, ti, tgt := pi, ti, targets[ti]
 			pool.GoW(func(lane int) {
-				row := runCell(ctx, prog, tgt, ex, lane)
+				row, _ := runCell(ctx, cell{prog: prog, tgt: tgt}, ex, lane)
 				all[pi][ti] = row
 				if row.Failed() && ex.FailFast {
 					firstFail.CompareAndSwap(nil, row.Failure)
@@ -383,31 +426,72 @@ func RunSuite(progs []*ir.Program, ex Experiment) ([][]Row, *telemetry.SchedStat
 	return all, &st, nil
 }
 
+// RunCompiled runs one already-compiled cell — prog lowered into
+// compiled, whatever compiler options produced it — on the caller's
+// goroutine, under the same attempt loop, durability layer and
+// observers as a RunSuite cell. The error is the cell's final failure
+// (a *simeng.SimError for a computed cell, so errors.Is matches the
+// taxonomy sentinels) or an invalid configuration; the row then
+// carries the failure record.
+func RunCompiled(prog *ir.Program, compiled *cc.Compiled, ex Experiment) (Row, error) {
+	if err := ex.Validate(); err != nil {
+		return Row{Target: compiled.Target}, err
+	}
+	ctx := ex.Ctx
+	if ctx == nil {
+		ctx = context.Background()
+	}
+	row, err := runCell(ctx, cell{prog: prog, tgt: compiled.Target, compiled: compiled}, ex, 0)
+	if f := row.Failure; f != nil && err == nil {
+		err = fmt.Errorf("report: %s/%s failed (%s, replayed from %s): %s",
+			f.Workload, f.Target, f.Reason, row.Served, f.Message)
+	}
+	return row, err
+}
+
 // drained reports whether the graceful-shutdown signal has fired.
 func (ex *Experiment) drained() bool {
 	return ex.Drain != nil && ex.Drain.Err() != nil
 }
 
-// runCell executes one (workload, target) cell under the full retry
-// policy. It never returns an error: a cell whose every attempt failed
-// comes back as a FAILED placeholder row carrying the typed failure
-// record and attempt history.
-func runCell(ctx context.Context, prog *ir.Program, tgt cc.Target, ex Experiment, lane int) Row {
+// cell is one (workload, target) slot. compiled, when non-nil, is the
+// code the cell executes; otherwise prog is compiled for tgt with the
+// default options.
+type cell struct {
+	prog     *ir.Program
+	tgt      cc.Target
+	compiled *cc.Compiled
+}
+
+func (c cell) compile() (*cc.Compiled, error) {
+	if c.compiled != nil {
+		return c.compiled, nil
+	}
+	return cc.Compile(c.prog, c.tgt)
+}
+
+// runCell executes one cell under the full retry policy. A cell whose
+// every attempt failed comes back as a FAILED placeholder row carrying
+// the typed failure record and attempt history; the error is then the
+// last attempt's failure (nil for a success or a replayed row).
+func runCell(ctx context.Context, c cell, ex Experiment, lane int) (Row, error) {
+	prog, tgt := c.prog, c.tgt
 	attempts := ex.Retries + 1
-	cell := prog.Name + "/" + tgt.String()
+	cellID := prog.Name + "/" + tgt.String()
 	clog := slogx.OrNop(ex.Log).With(
 		slogx.KeyWorkload, prog.Name, slogx.KeyTarget, tgt.String())
 	// Durability: content-address the cell and try to serve it without
 	// simulating — from the replayed journal on a resume, or from the
 	// content cache on any run. A computed cell journals cell-started
-	// here and its terminal record as it retires.
+	// here and its terminal record as it retires. A traced cell skips
+	// the layer: its trace could not be replayed.
 	var dhash string
-	if ex.Durable != nil && ctx.Err() == nil && !ex.drained() {
-		if h, err := cellHash(prog, tgt, ex); err == nil {
+	if ex.Durable != nil && ex.Trace == nil && ctx.Err() == nil && !ex.drained() {
+		if h, err := cellHash(c, ex); err == nil {
 			dhash = h
 			if hit := ex.Durable.Lookup(prog.Name, tgt.String(), dhash); hit != nil {
 				if row, ok := replayRow(hit, dhash, prog, tgt, ex, clog); ok {
-					return row
+					return row, nil
 				}
 			}
 			ex.Durable.CellStarted(prog.Name, tgt.String(), dhash)
@@ -425,7 +509,7 @@ func runCell(ctx context.Context, prog *ir.Program, tgt cc.Target, ex Experiment
 	for attempt := 1; attempt <= attempts; attempt++ {
 		if attempt > 1 && ex.RetryBackoff > 0 {
 			backoff := ex.RetryBackoff << (attempt - 2)
-			sp := ex.Prof.Start(lane, prof.StageRetryBackoff, "", cell)
+			sp := ex.Prof.Start(lane, prof.StageRetryBackoff, "", cellID)
 			select {
 			case <-time.After(backoff):
 			case <-ctx.Done():
@@ -450,14 +534,14 @@ func runCell(ctx context.Context, prog *ir.Program, tgt cc.Target, ex Experiment
 		}
 		ex.Status.Running(prog.Name, tgt.String(), attempt)
 		clog.Debug("cell attempt start", slogx.KeyAttempt, attempt)
-		row, pm, err := runAttempt(ctx, prog, tgt, ex, attempt, lane)
+		row, pm, err := runAttempt(ctx, c, ex, attempt, lane)
 		if err == nil {
 			row.Attempts = attempt
 			journalFinished(ex, prog.Name, tgt.String(), dhash, &row, false, clog)
 			ex.Status.Done(prog.Name, tgt.String(), row.WallSeconds, row.Core.Instructions)
 			clog.Debug("cell done", slogx.KeyAttempt, attempt,
 				"retired", row.Core.Instructions, "wall_seconds", row.WallSeconds)
-			return row
+			return row, nil
 		}
 		last = simeng.WithCell(err, prog.Name, tgt.String())
 		if pm != "" {
@@ -501,7 +585,7 @@ func runCell(ctx context.Context, prog *ir.Program, tgt cc.Target, ex Experiment
 	if ctx.Err() == nil && !ex.drained() {
 		journalFailed(ex, prog.Name, tgt.String(), dhash, &failed, clog)
 	}
-	return failed
+	return failed, last
 }
 
 // runAttempt executes one attempt of a cell under the panic guard and,
@@ -518,7 +602,8 @@ func runCell(ctx context.Context, prog *ir.Program, tgt cc.Target, ex Experiment
 // recorder, after simulation has stopped — the only point where the
 // ring is safe to read. A watchdog-reaped attempt is abandoned before
 // that point, so reaped cells report no post-mortem.
-func runAttempt(ctx context.Context, prog *ir.Program, tgt cc.Target, ex Experiment, attempt, lane int) (Row, string, error) {
+func runAttempt(ctx context.Context, c cell, ex Experiment, attempt, lane int) (Row, string, error) {
+	workload, target := c.prog.Name, c.tgt.String()
 	cellCtx := ctx
 	if ex.CellTimeout > 0 {
 		var cancel context.CancelFunc
@@ -528,20 +613,20 @@ func runAttempt(ctx context.Context, prog *ir.Program, tgt cc.Target, ex Experim
 	run := func() (Row, string, error) {
 		var rec *obs.Recorder
 		if ex.FlightDir != "" {
-			rec = obs.NewRecorder(ex.FlightEvents, ex.RunID, prog.Name, tgt.String(), attempt, ex.Metrics)
+			rec = obs.NewRecorder(ex.FlightEvents, ex.RunID, workload, target, attempt, ex.Metrics)
 		}
 		var row Row
 		err := simeng.Guard(func() error {
 			var runErr error
-			row, runErr = runOne(cellCtx, prog, tgt, ex, attempt, lane, rec)
+			row, runErr = runOne(cellCtx, c, ex, attempt, lane, rec)
 			return runErr
 		})
 		if err == nil || rec == nil {
 			return row, "", err
 		}
-		se := simeng.WithCell(err, prog.Name, tgt.String())
+		se := simeng.WithCell(err, workload, target)
 		pm := rec.Dump(ex.FlightDir, se,
-			slogx.WithCell(ex.Log, prog.Name, tgt.String(), attempt))
+			slogx.WithCell(ex.Log, workload, target, attempt))
 		return row, pm, err
 	}
 	if ex.CellTimeout <= 0 {
@@ -561,15 +646,137 @@ func runAttempt(ctx context.Context, prog *ir.Program, tgt cc.Target, ex Experim
 	case res := <-ch:
 		return res.row, res.pm, res.err
 	case <-cellCtx.Done():
-		return Row{Target: tgt}, "", &simeng.SimError{Kind: simeng.ErrDeadline, Err: cellCtx.Err()}
+		return Row{Target: c.tgt}, "", &simeng.SimError{Kind: simeng.ErrDeadline, Err: cellCtx.Err()}
 	}
 }
 
-func runOne(ctx context.Context, prog *ir.Program, tgt cc.Target, ex Experiment, attempt, lane int, rec *obs.Recorder) (Row, error) {
+// plan is the set of analysis sinks an experiment attaches to one
+// cell, plus the timing model when the experiment names one. It is
+// the only place the analyses are constructed.
+type plan struct {
+	names []string
+	sinks []isa.Sink
+
+	pl      *core.PathLength
+	cp, scp *core.CritPath
+	win     core.WindowAnalyzer
+	mix     *core.Mix
+	br      *core.BranchProfile
+	dd      *core.DepDistance
+	// model is the finite-resource core (nil on the emulation core).
+	model simeng.StatsSource
+}
+
+func (p *plan) add(name string, s isa.Sink) {
+	p.names = append(p.names, name)
+	p.sinks = append(p.sinks, s)
+}
+
+// newPlan builds the sinks ex selects for a cell compiled into
+// compiled. parallel is the resolved worker count: above 1 the
+// windowed analysis is the sharded implementation (bit-identical
+// results). tracer, when non-nil, is attached to the timing model.
+func newPlan(ex Experiment, compiled *cc.Compiled, parallel int, tracer simeng.PipelineObserver) *plan {
+	p := &plan{}
+	if ex.PathLength {
+		p.pl = core.NewPathLength(compiled.File.Symbols)
+		p.add("pathlen", p.pl)
+	}
+	if ex.CritPath {
+		p.cp = core.NewCritPath()
+		p.cp.SetDenseRange(cc.TextBase, compiled.MemSize)
+		p.add("critpath", p.cp)
+	}
+	if ex.Scaled {
+		lat := ex.Latencies
+		if lat == nil {
+			lat = simeng.TX2Latencies()
+		}
+		p.scp = core.NewScaledCritPath(lat)
+		p.scp.SetDenseRange(cc.TextBase, compiled.MemSize)
+		p.add("scaledcp", p.scp)
+	}
+	if ex.Windowed {
+		sizes := ex.WindowSizes
+		if sizes == nil {
+			sizes = core.PaperWindowSizes()
+		}
+		if parallel > 1 {
+			p.win = core.NewShardedWindowedCP(sizes, ex.WindowStride, parallel)
+		} else {
+			p.win = core.NewWindowedCritPathStride(sizes, ex.WindowStride)
+		}
+		p.add("windowcp", p.win)
+	}
+	if ex.Mix {
+		p.mix = core.NewMix()
+		p.br = core.NewBranchProfile(nil)
+		p.add("mix", p.mix)
+		p.add("branch", p.br)
+	}
+	if ex.DepDistances {
+		p.dd = core.NewDepDistance()
+		p.add("depdist", p.dd)
+	}
+	var dcache *simeng.Cache
+	if ex.Cache {
+		dcache = simeng.NewL1D()
+	}
+	switch ex.Core {
+	case "inorder":
+		m := simeng.NewInOrderModel()
+		m.DCache, m.Tracer = dcache, tracer
+		p.model = m
+		p.add("inorder-model", m)
+	case "ooo":
+		m := simeng.NewOoOModel()
+		m.DCache, m.Tracer = dcache, tracer
+		p.model = m
+		p.add("ooo-model", m)
+	}
+	return p
+}
+
+// collect copies the analysis outputs into row.
+func (p *plan) collect(row *Row) {
+	if p.cp != nil {
+		ts := p.cp.TrackerStats()
+		row.Tracker = &telemetry.TrackerStats{MapEntries: ts.MapEntries, DenseWords: ts.DenseWords}
+	} else if p.scp != nil {
+		ts := p.scp.TrackerStats()
+		row.Tracker = &telemetry.TrackerStats{MapEntries: ts.MapEntries, DenseWords: ts.DenseWords}
+	}
+	if p.pl != nil {
+		row.Regions = p.pl.Counts()
+		row.Other = p.pl.Other()
+	}
+	if p.cp != nil {
+		row.CP, row.ILP, row.Runtime = p.cp.CP(), p.cp.ILP(), p.cp.RuntimeSeconds()
+	}
+	if p.scp != nil {
+		row.ScaledCP, row.ScaledILP, row.ScaledRuntime = p.scp.CP(), p.scp.ILP(), p.scp.RuntimeSeconds()
+	}
+	if p.win != nil {
+		row.Windows = p.win.Results()
+	}
+	if p.mix != nil {
+		row.MixCounts = p.mix.Counts()
+		row.BranchCount = p.br.Branches()
+		row.BranchDensity = p.br.Density()
+		row.BranchTaken = p.br.TakenRate()
+	}
+	if p.dd != nil {
+		row.MeanDepDistance = p.dd.Mean()
+		row.ShortDepFraction16 = p.dd.ShortFraction(16)
+	}
+}
+
+func runOne(ctx context.Context, c cell, ex Experiment, attempt, lane int, rec *obs.Recorder) (Row, error) {
+	prog, tgt := c.prog, c.tgt
 	row := Row{Target: tgt}
-	cell := prog.Name + "/" + tgt.String()
-	setup := ex.Prof.Start(lane, prof.StageSetup, "", cell)
-	compiled, err := cc.Compile(prog, tgt)
+	cellID := prog.Name + "/" + tgt.String()
+	setup := ex.Prof.Start(lane, prof.StageSetup, "", cellID)
+	compiled, err := c.compile()
 	if err != nil {
 		return row, err
 	}
@@ -594,54 +801,15 @@ func runOne(ctx context.Context, prog *ir.Program, tgt cc.Target, ex Experiment,
 	// instrumented tee); both produce identical analysis results.
 	parallel := sched.DefaultWorkers(ex.Parallel)
 
-	var names []string
-	var sinks []isa.Sink
-	add := func(name string, s isa.Sink) {
-		names = append(names, name)
-		sinks = append(sinks, s)
+	// tracer stays a nil interface when no trace is asked for, so the
+	// cores skip their per-instruction observer call.
+	var tracer simeng.PipelineObserver
+	if ex.Trace != nil {
+		row.Trace = ex.Trace()
+		tracer = row.Trace
 	}
-	var pl *core.PathLength
-	if ex.PathLength {
-		pl = core.NewPathLength(compiled.File.Symbols)
-		add("pathlen", pl)
-	}
-	var cp, scp *core.CritPath
-	if ex.CritPath {
-		cp = core.NewCritPath()
-		cp.SetDenseRange(cc.TextBase, compiled.MemSize)
-		add("critpath", cp)
-	}
-	if ex.Scaled {
-		lat := ex.Latencies
-		if lat == nil {
-			lat = simeng.TX2Latencies()
-		}
-		scp = core.NewScaledCritPath(lat)
-		scp.SetDenseRange(cc.TextBase, compiled.MemSize)
-		add("scaledcp", scp)
-	}
-	var win core.WindowAnalyzer
-	if ex.Windowed {
-		sizes := ex.WindowSizes
-		if sizes == nil {
-			sizes = core.PaperWindowSizes()
-		}
-		if parallel > 1 {
-			win = core.NewShardedWindowedCP(sizes, ex.WindowStride, parallel)
-		} else {
-			win = core.NewWindowedCritPathStride(sizes, ex.WindowStride)
-		}
-		add("windowcp", win)
-	}
-
-	var mix *core.Mix
-	var br *core.BranchProfile
-	if ex.Mix {
-		mix = core.NewMix()
-		br = core.NewBranchProfile(nil)
-		add("mix", mix)
-		add("branch", br)
-	}
+	p := newPlan(ex, compiled, parallel, tracer)
+	names, sinks := p.names, p.sinks
 
 	var rm *telemetry.RunMetrics
 	if ex.Metrics != nil {
@@ -659,12 +827,16 @@ func runOne(ctx context.Context, prog *ir.Program, tgt cc.Target, ex Experiment,
 			pg.Log = slogx.WithCell(ex.Log, prog.Name, tgt.String(), attempt)
 		}
 		pg.FinalOnly = ex.ProgressFinalOnly
-		add("progress", pg)
+		names = append(names, "progress")
+		sinks = append(sinks, pg)
 	}
 
 	emu := &simeng.EmulationCore{
 		MaxInstructions: ex.MaxInstructions, Ctx: ctx,
 		ProfileStages: ex.Prof.Enabled(),
+	}
+	if p.model == nil {
+		emu.Observer = tracer
 	}
 	if ex.Log != nil {
 		emu.Log = slogx.WithCell(ex.Log, prog.Name, tgt.String(), attempt)
@@ -726,17 +898,17 @@ func runOne(ctx context.Context, prog *ir.Program, tgt cc.Target, ex Experiment,
 		if err != nil {
 			return row, err
 		}
-		for _, name := range names {
-			row.Sinks = append(row.Sinks, telemetry.SinkStats{Name: name, Events: n})
+		for _, sn := range names {
+			row.Sinks = append(row.Sinks, telemetry.SinkStats{Name: sn, Events: n})
 		}
 		if fs != nil {
 			// Sink busy times run concurrently in reality; they are laid
 			// out sequentially after simulate/deliver on the cell's lane
 			// so the timeline renders without overlap — the durations,
 			// which is what attribution sums, stay exact.
-			cursor := recordStageSpans(ex.Prof, lane, cell, runStart, emu.Stages)
+			cursor := recordStageSpans(ex.Prof, lane, cellID, runStart, emu.Stages)
 			for i, busy := range fs.SinkBusyNs {
-				ex.Prof.Record(lane, prof.StageSink, consumerNames[i], cell, cursor, cursor+busy)
+				ex.Prof.Record(lane, prof.StageSink, consumerNames[i], cellID, cursor, cursor+busy)
 				cursor += busy
 			}
 		}
@@ -775,16 +947,19 @@ func runOne(ctx context.Context, prog *ir.Program, tgt cc.Target, ex Experiment,
 			// On the sequential path per-sink cost comes from the tee's
 			// sampled estimate (EstOverheadNs), laid out after
 			// simulate/deliver like the fan-out path.
-			cursor := recordStageSpans(ex.Prof, lane, cell, runStart, emu.Stages)
+			cursor := recordStageSpans(ex.Prof, lane, cellID, runStart, emu.Stages)
 			for _, ss := range tee.Stats() {
 				est := int64(ss.EstOverheadNs)
-				ex.Prof.Record(lane, prof.StageSink, ss.Name, cell, cursor, cursor+est)
+				ex.Prof.Record(lane, prof.StageSink, ss.Name, cellID, cursor, cursor+est)
 				cursor += est
 			}
 		}
 	}
 	row.WallSeconds = time.Since(start).Seconds()
 	row.Core = emu.PipelineStats()
+	if p.model != nil {
+		row.Core = p.model.PipelineStats()
+	}
 	if rm != nil {
 		row.Counters = rm.Counters()
 		if src, ok := mach.(isa.PredecodeStatsSource); ok {
@@ -801,32 +976,8 @@ func runOne(ctx context.Context, prog *ir.Program, tgt cc.Target, ex Experiment,
 	if pg != nil {
 		pg.Finish()
 	}
-	if cp != nil {
-		ts := cp.TrackerStats()
-		row.Tracker = &telemetry.TrackerStats{MapEntries: ts.MapEntries, DenseWords: ts.DenseWords}
-	} else if scp != nil {
-		ts := scp.TrackerStats()
-		row.Tracker = &telemetry.TrackerStats{MapEntries: ts.MapEntries, DenseWords: ts.DenseWords}
-	}
 	row.PathLen = stats.Instructions
-	if pl != nil {
-		row.Regions = pl.Counts()
-		row.Other = pl.Other()
-	}
-	if cp != nil {
-		row.CP, row.ILP, row.Runtime = cp.CP(), cp.ILP(), cp.RuntimeSeconds()
-	}
-	if scp != nil {
-		row.ScaledCP, row.ScaledILP, row.ScaledRuntime = scp.CP(), scp.ILP(), scp.RuntimeSeconds()
-	}
-	if win != nil {
-		row.Windows = win.Results()
-	}
-	if mix != nil {
-		row.MixCounts = mix.Counts()
-		row.BranchDensity = br.Density()
-		row.BranchTaken = br.TakenRate()
-	}
+	p.collect(&row)
 	return row, nil
 }
 

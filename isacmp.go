@@ -16,12 +16,10 @@ package isacmp
 
 import (
 	"context"
-	"encoding/json"
 	"fmt"
 	"io"
 	"log/slog"
 	"math"
-	"time"
 
 	"isacmp/internal/a64"
 	"isacmp/internal/cc"
@@ -36,7 +34,6 @@ import (
 	"isacmp/internal/obs/slogx"
 	"isacmp/internal/report"
 	"isacmp/internal/rv64"
-	"isacmp/internal/sched"
 	"isacmp/internal/simeng"
 	"isacmp/internal/telemetry"
 	"isacmp/internal/workloads"
@@ -335,119 +332,10 @@ type Result struct {
 	ShortDepFraction16 float64
 }
 
-// analysisSet is the bundle of analysis sinks one Analyses selection
-// builds, shared by Analyse and RunInstrumented.
-type analysisSet struct {
-	names []string
-	sinks []Sink
-
-	pl      *core.PathLength
-	cp, scp *core.CritPath
-	win     core.WindowAnalyzer
-	mix     *core.Mix
-	br      *core.BranchProfile
-	dd      *core.DepDistance
-}
-
-func (a *analysisSet) add(name string, s Sink) {
-	a.names = append(a.names, name)
-	a.sinks = append(a.sinks, s)
-}
-
-// newAnalysisSet builds the sinks for one Analyses selection. parallel
-// is the resolved worker count: above 1 the windowed analysis uses the
-// sharded implementation (bit-identical results, see internal/core).
-func (b *Binary) newAnalysisSet(sel Analyses, parallel int) *analysisSet {
-	a := &analysisSet{}
-	if sel.PathLength {
-		a.pl = core.NewPathLength(b.compiled.File.Symbols)
-		a.add("pathlen", a.pl)
-	}
-	if sel.CritPath {
-		a.cp = core.NewCritPath()
-		a.cp.SetDenseRange(cc.TextBase, b.compiled.MemSize)
-		a.add("critpath", a.cp)
-	}
-	if sel.ScaledCritPath {
-		lat := sel.Latencies
-		if lat == nil {
-			lat = simeng.TX2Latencies()
-		}
-		a.scp = core.NewScaledCritPath(lat)
-		a.scp.SetDenseRange(cc.TextBase, b.compiled.MemSize)
-		a.add("scaledcp", a.scp)
-	}
-	if sel.Windowed {
-		sizes := sel.WindowSizes
-		if sizes == nil {
-			sizes = core.PaperWindowSizes()
-		}
-		if parallel > 1 {
-			a.win = core.NewShardedWindowedCP(sizes, sel.WindowStride, parallel)
-		} else {
-			a.win = core.NewWindowedCritPathStride(sizes, sel.WindowStride)
-		}
-		a.add("windowcp", a.win)
-	}
-	if sel.Mix {
-		a.mix = core.NewMix()
-		a.add("mix", a.mix)
-	}
-	if sel.Branches {
-		a.br = core.NewBranchProfile(nil)
-		a.add("branch", a.br)
-	}
-	if sel.DepDistances {
-		a.dd = core.NewDepDistance()
-		a.add("depdist", a.dd)
-	}
-	return a
-}
-
-// collect copies the analysis outputs into res.
-func (a *analysisSet) collect(res *Result) {
-	if a.pl != nil {
-		res.Regions = a.pl.Counts()
-		res.OtherInstructions = a.pl.Other()
-	}
-	if a.cp != nil {
-		res.CP = a.cp.CP()
-		res.ILP = a.cp.ILP()
-		res.RuntimeSeconds = a.cp.RuntimeSeconds()
-	}
-	if a.scp != nil {
-		res.ScaledCP = a.scp.CP()
-		res.ScaledILP = a.scp.ILP()
-		res.ScaledRuntimeSeconds = a.scp.RuntimeSeconds()
-	}
-	if a.win != nil {
-		res.Windows = a.win.Results()
-	}
-	if a.mix != nil {
-		res.MixCounts = a.mix.Counts()
-	}
-	if a.br != nil {
-		res.BranchCount = a.br.Branches()
-		res.BranchDensity = a.br.Density()
-		res.BranchTakenRate = a.br.TakenRate()
-	}
-	if a.dd != nil {
-		res.MeanDepDistance = a.dd.Mean()
-		res.ShortDepFraction16 = a.dd.ShortFraction(16)
-	}
-}
-
 // Analyse runs the binary once with the selected analyses attached.
 func (b *Binary) Analyse(sel Analyses) (*Result, error) {
-	res := &Result{Target: b.compiled.Target}
-	as := b.newAnalysisSet(sel, 1)
-	stats, err := b.Run(as.sinks...)
-	if err != nil {
-		return nil, err
-	}
-	res.Stats = stats
-	as.collect(res)
-	return res, nil
+	res, _, err := b.RunInstrumented(RunConfig{Analyses: sel, Parallel: 1})
+	return res, err
 }
 
 // Verify runs the binary and compares every program array against the
@@ -728,8 +616,6 @@ type RunConfig struct {
 	// keeps only the final summary (set when stderr is not a
 	// terminal).
 	ProgressFinalOnly bool
-	// SamplePeriod overrides the tee's overhead-timing interval.
-	SamplePeriod uint64
 	// Parallel selects the analysis engine: 1 runs every sink through
 	// the sequential instrumented tee; above 1 the trace is simulated
 	// once and fanned out to the sinks concurrently, with the windowed
@@ -757,12 +643,10 @@ type RunConfig struct {
 	Log *slog.Logger
 	// RunID stamps post-mortem artifacts; see NewRunID.
 	RunID string
-	// Attempt is the 1-based retry attempt recorded in logs and
-	// post-mortems (0 is treated as 1).
-	Attempt int
-	// Status, when non-nil, sees the run's retired count advance live
-	// (serve it with StartObsServer). Pure observer: analysis results
-	// are byte-identical with or without it.
+	// Status, when non-nil, sees the run's lifecycle transitions and
+	// retired count live (serve it with StartObsServer). Pure
+	// observer: analysis results are byte-identical with or without
+	// it.
 	Status *StatusBoard
 	// ServeAddr, when non-empty, serves the observability endpoints
 	// (/metrics, /statusz, /events, health, pprof) for the duration of
@@ -794,9 +678,11 @@ type RunConfig struct {
 	// workload, compiled code, core model, analysis and fusion spec,
 	// engine version) already retired, its record is replayed — the
 	// Result is then nil and the RunRecord carries the original
-	// analysis block and counter delta. Runs recording a pipeline
-	// trace (Trace != nil) are never served or journaled: a trace
-	// cannot be replayed from cache.
+	// analysis block and counter delta. A run that failed on its own
+	// (not by cancellation) is journaled too and replays as the same
+	// failure. Runs recording a pipeline trace (Trace != nil) are
+	// never served or journaled: a trace cannot be replayed from
+	// cache.
 	Durable *DurableRun
 }
 
@@ -806,280 +692,105 @@ type RunConfig struct {
 // returned RunRecord carries the uniform core stats, retire rate,
 // per-sink overhead, tracker footprint and analysis results — ready
 // to append to a RunManifest. The Result carries the same analysis
-// outputs in their native form.
+// outputs in their native form. The run is one cell of the matrix
+// engine (RunMatrix): the same analyses, observers and durability
+// layer, executing this binary's code.
 func (b *Binary) RunInstrumented(cfg RunConfig) (*Result, RunRecord, error) {
-	workload, target := b.prog.Name, b.compiled.Target.String()
-	rec := RunRecord{Workload: workload, Target: target}
-	mach, _, err := b.NewMachine()
-	if err != nil {
-		return nil, rec, err
-	}
-
-	attempt := cfg.Attempt
-	if attempt < 1 {
-		attempt = 1
-	}
-
-	// Crash-safety layer: content-address the run and serve it from
-	// the replayed journal or content cache when an identical run
-	// already retired; otherwise journal cell-started now and the
-	// canonical record when it retires.
-	drun := cfg.Durable
-	if drun == nil && cfg.DurableDir != "" {
-		opened, derr := OpenDurable(cfg.DurableDir, cfg.Resume)
-		if derr != nil {
-			return nil, rec, derr
+	workload := b.prog.Name
+	fail := RunRecord{Workload: workload, Target: b.compiled.Target.String()}
+	ex := cfg.experiment()
+	if ex.Durable == nil && cfg.DurableDir != "" {
+		drun, err := OpenDurable(cfg.DurableDir, cfg.Resume)
+		if err != nil {
+			return nil, fail, err
 		}
-		drun = opened
-		defer opened.Close()
+		defer drun.Close()
+		ex.Durable = drun
 	}
-	dhash := ""
-	if drun != nil && cfg.Trace == nil {
-		dhash = durable.KeyInput{
-			Engine:   durable.EngineVersion,
-			Workload: workload,
-			Target:   target,
-			Code:     b.ELF(),
-			Analysis: runSpec(cfg),
-			Fusion:   cfg.Fusion.Spec(),
-		}.Hash()
-		if hit := drun.Lookup(workload, target, dhash); hit != nil && !hit.Failed {
-			var served RunRecord
-			if jerr := json.Unmarshal(hit.Payload, &served); jerr == nil &&
-				served.Workload == workload && served.Target == target {
-				telemetry.ApplyCounters(cfg.Metrics, served.Counters)
-				if hit.Source == "cache" {
-					drun.CellFinished(workload, target, dhash, hit.Payload, true)
-				}
-				cfg.Status.Served(workload, target, hit.Source, false, "", served.Core.Instructions)
-				if cfg.Log != nil {
-					slogx.WithCell(cfg.Log, workload, target, attempt).Info(
-						"run served", "source", hit.Source, "retired", served.Core.Instructions)
-				}
-				return nil, served, nil
-			}
-			if cfg.Log != nil {
-				slogx.WithCell(cfg.Log, workload, target, attempt).Warn(
-					"durable: replay payload rejected — re-running", "source", hit.Source)
-			}
-		}
-		drun.CellStarted(workload, target, dhash)
-	}
-
 	if cfg.ServeAddr != "" {
 		ctx := cfg.Ctx
 		if ctx == nil {
 			ctx = context.Background()
 		}
-		srv, serr := obs.StartServer(ctx, obs.ServerConfig{
+		srv, err := obs.StartServer(ctx, obs.ServerConfig{
 			Addr: cfg.ServeAddr, Registry: cfg.Metrics, Board: cfg.Status, Log: cfg.Log,
 		})
-		if serr != nil {
-			return nil, rec, serr
+		if err != nil {
+			return nil, fail, err
 		}
 		srv.SetReady(true)
 		defer srv.Close()
 	}
-	var flight *obs.Recorder
-	if cfg.FlightDir != "" {
-		flight = obs.NewRecorder(cfg.FlightEvents, cfg.RunID, workload, target, attempt, cfg.Metrics)
+	row, err := report.RunCompiled(b.prog, b.compiled, ex)
+	if err != nil {
+		return nil, fail, err
 	}
-	// dumpFlight writes the post-mortem when an armed run fails; called
-	// on the same goroutine that fed the recorder.
-	dumpFlight := func(runErr error) {
-		if flight != nil && runErr != nil {
-			flight.Dump(cfg.FlightDir, simeng.WithCell(runErr, workload, target),
-				slogx.WithCell(cfg.Log, workload, target, attempt))
-		}
+	rec := report.RowRecord(workload, row)
+	rec.Counters = row.Counters
+	if row.Served != "" {
+		return nil, rec, nil
 	}
-	// observe interposes the pure pass-through observers (flight
-	// recorder, live meter) outermost on a run path's sink; analysis
-	// results and event counts are unchanged (the byte-identity
-	// contract).
-	observe := func(s Sink) (Sink, *obs.Meter) {
-		if flight != nil {
-			s = flight.Wrap(s)
-		}
-		if m := obs.NewMeter(cfg.Status, workload, target, s); m != nil {
-			return m, m
-		}
-		return s, nil
+	sel := cfg.Analyses
+	res := &Result{
+		Target:               row.Target,
+		Stats:                Stats{Instructions: row.PathLen, Cycles: row.PathLen},
+		Regions:              row.Regions,
+		OtherInstructions:    row.Other,
+		CP:                   row.CP,
+		ILP:                  row.ILP,
+		RuntimeSeconds:       row.Runtime,
+		ScaledCP:             row.ScaledCP,
+		ScaledILP:            row.ScaledILP,
+		ScaledRuntimeSeconds: row.ScaledRuntime,
+		Windows:              row.Windows,
+		MeanDepDistance:      row.MeanDepDistance,
+		ShortDepFraction16:   row.ShortDepFraction16,
 	}
-
-	parallel := sched.DefaultWorkers(cfg.Parallel)
-	as := b.newAnalysisSet(cfg.Analyses, parallel)
-
-	emu := &simeng.EmulationCore{Ctx: cfg.Ctx, MaxInstructions: cfg.MaxInstructions}
-	if cfg.Log != nil {
-		emu.Log = slogx.WithCell(cfg.Log, workload, target, attempt)
+	// The matrix runs the mix and branch profiles as one analysis;
+	// report only the halves that were asked for.
+	if sel.Mix {
+		res.MixCounts = row.MixCounts
 	}
-	var statsSource simeng.StatsSource = emu
-	switch cfg.Core {
-	case "", "emulation":
-		if cfg.Trace != nil {
-			emu.Observer = cfg.Trace
-		}
-	case "inorder":
-		m := simeng.NewInOrderModel()
-		if cfg.Cache {
-			m.DCache = simeng.NewL1D()
-		}
-		if cfg.Trace != nil {
-			m.Tracer = cfg.Trace
-		}
-		as.add("inorder-model", m)
-		statsSource = m
-	case "ooo":
-		m := simeng.NewOoOModel()
-		if cfg.Cache {
-			m.DCache = simeng.NewL1D()
-		}
-		if cfg.Trace != nil {
-			m.Tracer = cfg.Trace
-		}
-		as.add("ooo-model", m)
-		statsSource = m
-	default:
-		return nil, rec, fmt.Errorf("isacmp: unknown core %q (want emulation, inorder or ooo)", cfg.Core)
-	}
-
-	// Cell-mode metrics: counts accumulate locally and reach the
-	// registry only in the ApplyCounters call after the run retires,
-	// so the delta can be journaled and a replayed run re-applies
-	// exactly what the original computed.
-	var rm *telemetry.RunMetrics
-	if cfg.Metrics != nil {
-		rm = telemetry.NewCellMetrics()
-	}
-	var pg *telemetry.Progress
-	if cfg.Progress != nil {
-		pg = telemetry.NewProgress(cfg.Progress, workload+" "+target, 0)
-		if cfg.Log != nil {
-			pg.Log = slogx.WithCell(cfg.Log, workload, target, attempt)
-		}
-		pg.FinalOnly = cfg.ProgressFinalOnly
-		as.add("progress", pg)
-	}
-
-	var stats Stats
-	var fus *fusion.Pass
-	arch := b.compiled.Target.Arch
-	start := time.Now()
-	if parallel > 1 {
-		// Fan-out engine: simulate once, replay the stream into every
-		// sink concurrently. Per-sink overhead sampling does not apply
-		// (sinks no longer run inline with the core), so SinkStats
-		// carries names and event counts only.
-		consumers := append([]Sink(nil), as.sinks...)
-		if rm != nil {
-			consumers = append(consumers, rm)
-		}
-		n, runErr := sched.Fanout(func(s isa.Sink) error {
-			// Fanout runs gen on the caller's goroutine, so the
-			// recorder/meter wrapped here stay single-goroutine; counting
-			// happens below the wrappers, so n is unchanged by them.
-			// The fusion pass wraps the broadcast sink, so n counts
-			// fused events — the effective path length.
-			if cfg.Fusion.Active(arch) {
-				fus = fusion.NewPass(cfg.Fusion, arch, s)
-				s = fus
-			}
-			s, meter := observe(s)
-			var e error
-			stats, e = emu.Run(mach, s)
-			if e == nil && fus != nil {
-				fus.Flush() // while the broadcast is still open
-			}
-			meter.Flush()
-			return e
-		}, consumers...)
-		if runErr != nil {
-			dumpFlight(runErr)
-			return nil, rec, runErr
-		}
-		for _, name := range as.names {
-			rec.Sinks = append(rec.Sinks, telemetry.SinkStats{Name: name, Events: n})
-		}
-	} else {
-		tee := telemetry.NewTee()
-		tee.SamplePeriod = cfg.SamplePeriod
-		for i := range as.sinks {
-			tee.Add(as.names[i], as.sinks[i])
-		}
-		if rm != nil {
-			tee.CountRunMetrics(rm)
-		}
-		var sink Sink
-		if len(as.sinks) > 0 || rm != nil {
-			sink = tee
-		}
-		if sink != nil && cfg.Fusion.Active(arch) {
-			fus = fusion.NewPass(cfg.Fusion, arch, sink)
-			sink = fus
-		}
-		sink, meter := observe(sink)
-		stats, err = emu.Run(mach, sink)
-		meter.Flush()
-		if err != nil {
-			dumpFlight(err)
-			return nil, rec, err
-		}
-		if fus != nil {
-			fus.Flush() // before reading tee stats or analysis results
-		}
-		if len(as.sinks) > 0 {
-			rec.Sinks = tee.Stats()
-		}
-	}
-	wall := time.Since(start)
-	if rm != nil {
-		rec.Counters = rm.Counters()
-		if src, ok := mach.(isa.PredecodeStatsSource); ok {
-			telemetry.AddPredecodeCounters(rec.Counters, src.PredecodeStats())
-		}
-	}
-	if pg != nil {
-		pg.Finish()
-	}
-
-	rec.Core = statsSource.PipelineStats()
-	rec.WallSeconds = wall.Seconds()
-	rec.MIPS = telemetry.RateMIPS(stats.Instructions, wall)
-	if tracked := as.cp; tracked != nil {
-		ts := tracked.TrackerStats()
-		rec.Tracker = &telemetry.TrackerStats{MapEntries: ts.MapEntries, DenseWords: ts.DenseWords}
-	} else if tracked := as.scp; tracked != nil {
-		ts := tracked.TrackerStats()
-		rec.Tracker = &telemetry.TrackerStats{MapEntries: ts.MapEntries, DenseWords: ts.DenseWords}
-	}
-	if fus != nil {
-		st := fus.Stats()
-		fsRec := &telemetry.FusionStats{Spec: cfg.Fusion.Spec(), EventsIn: st.EventsIn, EventsOut: st.EventsOut}
-		rules := cfg.Fusion.RulesFor(arch)
-		for r := fusion.Rule(0); r < fusion.NumRules; r++ {
-			if rules.Has(r) {
-				fsRec.Rules = append(fsRec.Rules, telemetry.FusionRuleJSON{Rule: r.String(), Hits: st.Hits[r]})
-			}
-		}
-		rec.Fusion = fsRec
-		if rm != nil {
-			telemetry.AddFusionCounters(rec.Counters, fsRec)
-		}
-	}
-	telemetry.ApplyCounters(cfg.Metrics, rec.Counters)
-
-	res := &Result{Target: b.compiled.Target, Stats: stats}
-	as.collect(res)
-	rec.Results = resultTable(res)
-	if drun != nil && dhash != "" {
-		if data, jerr := json.Marshal(rec); jerr == nil {
-			drun.CellFinished(workload, target, dhash, data, false)
-		} else if cfg.Log != nil {
-			slogx.WithCell(cfg.Log, workload, target, attempt).Warn(
-				"durable: record encode failed — run not journaled", "err", jerr)
-		}
+	if sel.Branches {
+		res.BranchCount, res.BranchDensity, res.BranchTakenRate = row.BranchCount, row.BranchDensity, row.BranchTaken
 	}
 	return res, rec, nil
+}
+
+// experiment translates the run configuration into the one-cell
+// matrix experiment that executes it.
+func (cfg RunConfig) experiment() report.Experiment {
+	a := cfg.Analyses
+	ex := report.Experiment{
+		PathLength:        a.PathLength,
+		CritPath:          a.CritPath,
+		Scaled:            a.ScaledCritPath,
+		Windowed:          a.Windowed,
+		WindowSizes:       a.WindowSizes,
+		WindowStride:      a.WindowStride,
+		Mix:               a.Mix || a.Branches,
+		DepDistances:      a.DepDistances,
+		Latencies:         a.Latencies,
+		Core:              cfg.Core,
+		Cache:             cfg.Cache,
+		Metrics:           cfg.Metrics,
+		Progress:          cfg.Progress,
+		ProgressFinalOnly: cfg.ProgressFinalOnly,
+		Parallel:          max(cfg.Parallel, 0),
+		Fusion:            cfg.Fusion,
+		Ctx:               cfg.Ctx,
+		MaxInstructions:   cfg.MaxInstructions,
+		Log:               cfg.Log,
+		RunID:             cfg.RunID,
+		Status:            cfg.Status,
+		FlightDir:         cfg.FlightDir,
+		FlightEvents:      cfg.FlightEvents,
+		Durable:           cfg.Durable,
+	}
+	if cfg.Trace != nil {
+		ex.Trace = func() *PipelineTrace { return cfg.Trace }
+	}
+	return ex
 }
 
 // Durability surface (see internal/durable): crash-safe runs that
@@ -1107,24 +818,6 @@ func OpenDurable(dir string, resume bool) (*DurableRun, error) {
 	return durable.Open(dir, nil)
 }
 
-// runSpec canonically serializes every RunConfig knob that can change
-// an instrumented run's record — core model, cache model, analysis
-// selection, retirement budget, metrics collection — for the content
-// address. Execution-strategy and observer knobs (Parallel, progress,
-// status, serve, flight recorder) are excluded: the byte-identity
-// contract guarantees they cannot change a result.
-func runSpec(cfg RunConfig) string {
-	s := fmt.Sprintf("run/v1 core=%s cache=%t pl=%t cp=%t scp=%t win=%t sizes=%v stride=%d mix=%t br=%t dep=%t maxinstr=%d metrics=%t",
-		cfg.Core, cfg.Cache, cfg.Analyses.PathLength, cfg.Analyses.CritPath,
-		cfg.Analyses.ScaledCritPath, cfg.Analyses.Windowed, cfg.Analyses.WindowSizes,
-		cfg.Analyses.WindowStride, cfg.Analyses.Mix, cfg.Analyses.Branches,
-		cfg.Analyses.DepDistances, cfg.MaxInstructions, cfg.Metrics != nil)
-	if cfg.Analyses.Latencies != nil {
-		s += fmt.Sprintf(" lat=%v", *cfg.Analyses.Latencies)
-	}
-	return s
-}
-
 // Parallel matrix surface (see internal/report and internal/sched):
 // the full workload x ISA x compiler x analysis matrix fanned out over
 // a worker pool, with each cell's trace simulated once.
@@ -1146,37 +839,4 @@ type (
 // [workload][target] plus the pool's utilization summary.
 func RunMatrix(progs []*Program, ex MatrixExperiment) ([][]MatrixRow, *SchedStats, error) {
 	return report.RunSuite(progs, ex)
-}
-
-// resultTable converts a Result into the manifest's analysis block.
-func resultTable(res *Result) *telemetry.ResultTable {
-	rt := &telemetry.ResultTable{
-		PathLen:         res.Stats.Instructions,
-		Other:           res.OtherInstructions,
-		CP:              res.CP,
-		ILP:             res.ILP,
-		RuntimeMS:       res.RuntimeSeconds * 1e3,
-		ScaledCP:        res.ScaledCP,
-		ScaledILP:       res.ScaledILP,
-		ScaledRuntimeMS: res.ScaledRuntimeSeconds * 1e3,
-		BranchDensity:   res.BranchDensity,
-		BranchTaken:     res.BranchTakenRate,
-	}
-	for _, rc := range res.Regions {
-		rt.Regions = append(rt.Regions, telemetry.RegionJSON{Kernel: rc.Name, Count: rc.Count})
-	}
-	for _, w := range res.Windows {
-		rt.Windows = append(rt.Windows, telemetry.WindowJSON{
-			Size: w.Size, Windows: w.Windows, MeanCP: w.MeanCP, MeanILP: w.MeanILP,
-		})
-	}
-	for _, gc := range res.MixCounts {
-		if gc.Count == 0 {
-			continue
-		}
-		rt.Mix = append(rt.Mix, telemetry.MixJSON{
-			Group: gc.Group.String(), Count: gc.Count, Fraction: gc.Fraction,
-		})
-	}
-	return rt
 }
