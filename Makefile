@@ -50,7 +50,7 @@ golden:
 check-faults:
 	$(GO) test -race -count=1 ./internal/faultinject
 	$(GO) test -race -count=1 -run 'TestMatrixSurvives|TestRetry|TestHungCell|TestSlowCell|TestBudget|TestFailFast|TestValidate|TestFailedRow' ./internal/report
-	$(GO) test -race -count=1 -run 'TestPool|TestFanout' ./internal/sched
+	$(GO) test -race -count=1 -run 'TestPool' ./internal/sched
 	$(GO) test -race -count=1 -run 'TestReject|TestTruncated' ./internal/elfio
 
 # check-obs runs the observability suites under the race detector:
@@ -66,14 +66,18 @@ check-obs:
 # check-prof runs the span-profiler suites under the race detector:
 # the prof package itself (ring/totals semantics, Chrome-trace export,
 # zero-allocation and nil-hook cost pins), worker-lane and
-# queue-wait accounting in the pool, timed fan-out, the concurrent
-# sharded-windowed-CP cells, and the matrix-level contracts — profile
-# on/off byte-identity and the <= 1% disabled-profiler overhead gate.
+# queue-wait accounting in the pool, the concurrent
+# sharded-windowed-CP cells, the rule that gives a cell windowed-CP
+# shards only when workers outnumber cells, and the matrix-level
+# contracts — profile on/off byte-identity, the <= 1%
+# disabled-profiler overhead gate, and the tee's per-sink timing
+# (the one timing seam) at every worker budget.
 check-prof:
 	$(GO) test -race -count=1 ./internal/prof
-	$(GO) test -race -count=1 -run 'TestPoolGoW|TestPoolStatsBlocked|TestFanoutTimed' ./internal/sched
+	$(GO) test -race -count=1 -run 'TestPoolGoW|TestPoolStatsBlocked' ./internal/sched
 	$(GO) test -race -count=1 -run 'TestShardedConcurrentCells' ./internal/core
-	$(GO) test -race -count=1 -run 'TestProfiledByteIdentical|TestProfilerOffOverheadBudget' .
+	$(GO) test -race -count=1 -run 'TestCellShardWidth' ./internal/report
+	$(GO) test -race -count=1 -run 'TestProfiledByteIdentical|TestProfilerOffOverheadBudget|TestSinkTimingEveryWidth' .
 
 # check-fusion runs the macro-op fusion suites under the race
 # detector: the rule/merge/batch-seam unit tests, the report-level

@@ -13,12 +13,13 @@ import (
 // The benchmark harness regenerates every table and figure of the
 // paper, one testing.B benchmark per artefact:
 //
-//	BenchmarkFig1PathLength   Figure 1 — per-kernel path lengths
-//	BenchmarkTable1CritPath   Table 1  — critical path / ILP / runtime
-//	BenchmarkTable2ScaledCP   Table 2  — latency-scaled critical path
-//	BenchmarkFig2WindowedCP   Figure 2 — mean ILP per window size
-//	BenchmarkOoOCore          section 8 — finite-resource timing models
-//	BenchmarkSimulatorRate    raw simulation throughput
+//	BenchmarkFig1PathLength      Figure 1 — per-kernel path lengths
+//	BenchmarkTable1CritPath      Table 1  — critical path / ILP / runtime
+//	BenchmarkTable2ScaledCP      Table 2  — latency-scaled critical path
+//	BenchmarkFig2WindowedCP      Figure 2 — mean ILP per window size
+//	BenchmarkSingleCellWindowed  one Figure 2 cell at 1 and 2 workers
+//	BenchmarkOoOCore             section 8 — finite-resource timing models
+//	BenchmarkSimulatorRate       raw simulation throughput
 //
 // Each reports its headline numbers as benchmark metrics, so
 // `go test -bench=. -benchmem` prints the reproduced values next to
@@ -129,6 +130,33 @@ func BenchmarkFig2WindowedCP(b *testing.B) {
 	}
 }
 
+// BenchmarkSingleCellWindowed times one windowed-CP cell — LBM, the
+// RISC-V GCC 12.2 binary — through RunInstrumented at a worker budget
+// of 1 (the sequential WindowedCritPath) and 2 (ShardedWindowedCP over
+// two goroutines). It is the evidence that sharding pays for a lone
+// cell, the case the matrix never reaches on a small host: with more
+// cells than workers every matrix cell runs sequentially. Compare the
+// sub-benchmarks' ns/op; there is no budget assertion.
+func BenchmarkSingleCellWindowed(b *testing.B) {
+	bin, err := Compile(Workload("lbm", benchScale), Target{Arch: RV64, Flavor: GCC12})
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, parallel := range []int{1, 2} {
+		b.Run(fmt.Sprintf("Parallel=%d", parallel), func(b *testing.B) {
+			var insts uint64
+			for i := 0; i < b.N; i++ {
+				res, _, err := bin.RunInstrumented(RunConfig{Analyses: Analyses{Windowed: true}, Parallel: parallel})
+				if err != nil {
+					b.Fatal(err)
+				}
+				insts = res.Stats.Instructions
+			}
+			b.ReportMetric(float64(insts)*float64(b.N)/b.Elapsed().Seconds()/1e6, "Minst/s")
+		})
+	}
+}
+
 // BenchmarkOoOCore exercises the finite-resource out-of-order model at
 // the ROB sizes of the windowed analysis (the paper's future work).
 func BenchmarkOoOCore(b *testing.B) {
@@ -205,12 +233,11 @@ func BenchmarkSimulatorRate(b *testing.B) {
 }
 
 // BenchmarkTelemetryOverhead measures what observability costs: the
-// same EmulationCore run with the standard analysis set attached bare
-// (the plain isa.MultiSink fan-out Analyse uses) versus behind the
-// instrumented telemetry tee with the run-metrics sink added — the
-// configuration every instrumented CLI run uses. The budget is <= 5%
-// extra wall time; compare the sub-benchmarks' ns/op (benchstat, or
-// by eye).
+// same run with the standard analysis set attached through Analyse
+// (no metrics registry) versus with a registry, so the tee also
+// counts the run metrics — the configuration every instrumented CLI
+// run uses. The budget is <= 5% extra wall time; compare the
+// sub-benchmarks' ns/op (benchstat, or by eye).
 func BenchmarkTelemetryOverhead(b *testing.B) {
 	prog := Workload("stream", benchScale)
 	bin, err := Compile(prog, Target{Arch: AArch64, Flavor: GCC12})
@@ -255,11 +282,10 @@ func benchFullMatrix(b *testing.B, parallel int) {
 // goroutine, every cell and analysis in order.
 func BenchmarkFullMatrixSequential(b *testing.B) { benchFullMatrix(b, 1) }
 
-// BenchmarkFullMatrixParallel fans the same matrix over GOMAXPROCS
-// workers (cells over the pool, the trace fanned out to the analyses
-// inside each cell, windowed CP sharded). Results are byte-identical
-// to the sequential run; with N real cores the wall time approaches
-// 1/N.
+// BenchmarkFullMatrixParallel spreads the same matrix over GOMAXPROCS
+// workers (one cell per worker; each cell shards its windowed CP only
+// when workers outnumber cells). Results are byte-identical to the
+// sequential run; with N real cores the wall time approaches 1/N.
 func BenchmarkFullMatrixParallel(b *testing.B) { benchFullMatrix(b, 0) }
 
 // BenchmarkStepVsStepN compares the per-Step interface against the

@@ -241,8 +241,8 @@ func TestFusionStepwiseByteIdentical(t *testing.T) {
 
 // TestFusionParallelByteIdentical extends the -parallel determinism
 // contract to fusion-on runs: the rewritten stream must feed the
-// fan-out and the sharded windowed CP exactly as it feeds the
-// sequential tee.
+// sharded windowed CP (the width with spare workers per cell) exactly
+// as it feeds the sequential one.
 func TestFusionParallelByteIdentical(t *testing.T) {
 	ex := MatrixExperiment{
 		PathLength: true, CritPath: true, Scaled: true, Windowed: true,
@@ -250,7 +250,7 @@ func TestFusionParallelByteIdentical(t *testing.T) {
 		Parallel: 1,
 	}
 	seqText, seqManifest := matrixArtifactsEx(t, ex)
-	for _, workers := range []int{2, 5} {
+	for _, workers := range []int{2, 5, 2 * tinyCells} {
 		par := ex
 		par.Parallel = workers
 		parText, parManifest := matrixArtifactsEx(t, par)

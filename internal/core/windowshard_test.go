@@ -215,8 +215,9 @@ func TestSequentialResultsStreamable(t *testing.T) {
 	wantEqualResults(t, ref.Results(), w.Results())
 }
 
-// TestShardedConcurrentCells models the matrix under -parallel: many
-// cells run at once on a worker pool, each feeding its own
+// TestShardedConcurrentCells models a matrix with workers to spare
+// (more workers than cells): several cells run at once on a worker
+// pool, each feeding its own
 // ShardedWindowedCP (single-goroutine per instance, per the contract)
 // whose shard goroutines overlap with every other cell's. Under -race
 // this pins that nothing is shared across instances, and every cell

@@ -235,8 +235,7 @@ func (e *Event) AddDst(r Reg) {
 // invalid the moment Event returns — the next retirement overwrites
 // it. A sink that needs the record later must copy the struct (it is
 // a plain value; assignment suffices). Retaining the pointer is a
-// bug even on the single-goroutine path, and under the fan-out
-// engine it is additionally a data race.
+// bug.
 type Sink interface {
 	// Event observes one retired instruction. The pointed-to Event is
 	// only valid for the duration of the call.

@@ -1,6 +1,6 @@
 // Package prof is the performance-attribution span profiler of the
 // execution engine: per-worker timelines of coarse stage spans (setup,
-// simulate, fan-out delivery, per-analysis sink, retry backoff,
+// simulate, tee delivery, per-analysis sink, retry backoff,
 // manifest write) recorded for every matrix cell. The -profile flag
 // serves them on /profilez and exports them as Chrome-trace JSON.
 //
@@ -30,8 +30,8 @@ const (
 	StageSetup Stage = iota
 	// StageSimulate is the architectural simulation itself (StepN).
 	StageSimulate
-	// StageDeliver is event delivery: tee/fan-out hand-off from the
-	// generator to the analysis sinks.
+	// StageDeliver is event delivery: the tee's hand-off from the
+	// core to the analysis sinks.
 	StageDeliver
 	// StageSink is one analysis consumer's own processing time; the
 	// span label names the sink ("windowcp", "critpath", ...).

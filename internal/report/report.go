@@ -128,10 +128,10 @@ type Experiment struct {
 	// keeps only the final per-run summary — the CLIs set it when
 	// stderr is not a terminal so piped output is not spammed.
 	ProgressFinalOnly bool
-	// Parallel is the worker count of the analysis engine: (workload,
-	// target) cells are fanned out over this many pool workers, each
-	// cell's trace is simulated once and replayed into its analyses
-	// concurrently, and the windowed-CP computation is sharded. 1 runs
+	// Parallel is the worker budget of the analysis engine: (workload,
+	// target) cells are spread over this many pool workers, and a cell
+	// with workers to spare (fewer cells than workers) shards its
+	// windowed-CP computation over workers/cells goroutines. 1 runs
 	// everything strictly sequentially; 0 selects GOMAXPROCS.
 	// Negative values are rejected by Validate. Results are
 	// byte-identical for every value (see the README's determinism
@@ -342,8 +342,8 @@ func CollectFailures(all [][]Row) []telemetry.FailureRecord {
 	return out
 }
 
-// RunSuite fans the full analysis matrix — every (workload, target)
-// cell of every selected analysis — out over a sched.Pool with
+// RunSuite spreads the full analysis matrix — every (workload, target)
+// cell of every selected analysis — over a sched.Pool with
 // ex.Parallel workers and returns the rows as rows[workload][target],
 // in the deterministic input/Targets order regardless of completion
 // order. The returned SchedStats describes the pool for the run
@@ -377,7 +377,8 @@ func RunTargets(progs []*ir.Program, targets []cc.Target, ex Experiment) ([][]Ro
 	defer cancel()
 	// Seed the status board with the whole matrix up front, so
 	// /statusz shows pending cells before any has started.
-	ex.Status.SetWorkers(sched.DefaultWorkers(ex.Parallel))
+	workers := sched.DefaultWorkers(ex.Parallel)
+	ex.Status.SetWorkers(workers)
 	for _, prog := range progs {
 		for _, tgt := range targets {
 			ex.Status.Register(prog.Name, tgt.String())
@@ -386,8 +387,9 @@ func RunTargets(progs []*ir.Program, targets []cc.Target, ex Experiment) ([][]Ro
 	if ex.Log != nil {
 		ex.Log.Info("matrix start",
 			"workloads", len(progs), "targets", len(targets),
-			"workers", sched.DefaultWorkers(ex.Parallel))
+			"workers", workers)
 	}
+	shards := ex.cellShards(len(progs) * len(targets))
 	// firstFail records the temporally-first failure in FailFast mode —
 	// the root cause — since cells cancelled after it also come back as
 	// (deadline) failures.
@@ -400,7 +402,7 @@ func RunTargets(progs []*ir.Program, targets []cc.Target, ex Experiment) ([][]Ro
 		for ti := range targets {
 			pi, ti, tgt := pi, ti, targets[ti]
 			pool.GoW(func(lane int) {
-				row, _ := runCell(ctx, cell{prog: prog, tgt: tgt}, ex, lane)
+				row, _ := runCell(ctx, cell{prog: prog, tgt: tgt, shards: shards}, ex, lane)
 				all[pi][ti] = row
 				if row.Failed() && ex.FailFast {
 					firstFail.CompareAndSwap(nil, row.Failure)
@@ -429,7 +431,8 @@ func RunTargets(progs []*ir.Program, targets []cc.Target, ex Experiment) ([][]Ro
 // RunCompiled runs one already-compiled cell — prog lowered into
 // compiled, whatever compiler options produced it — on the caller's
 // goroutine, under the same attempt loop, durability layer and
-// observers as a RunSuite cell. The error is the cell's final failure
+// observers as a RunSuite cell. The whole worker budget goes to the
+// cell's windowed-CP shards. The error is the cell's final failure
 // (a *simeng.SimError for a computed cell, so errors.Is matches the
 // taxonomy sentinels) or an invalid configuration; the row then
 // carries the failure record.
@@ -441,12 +444,21 @@ func RunCompiled(prog *ir.Program, compiled *cc.Compiled, ex Experiment) (Row, e
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	row, err := runCell(ctx, cell{prog: prog, tgt: compiled.Target, compiled: compiled}, ex, 0)
+	c := cell{prog: prog, tgt: compiled.Target, compiled: compiled, shards: ex.cellShards(1)}
+	row, err := runCell(ctx, c, ex, 0)
 	if f := row.Failure; f != nil && err == nil {
 		err = fmt.Errorf("report: %s/%s failed (%s, replayed from %s): %s",
 			f.Workload, f.Target, f.Reason, row.Served, f.Message)
 	}
 	return row, err
+}
+
+// cellShards is each cell's share of the worker budget when the given
+// number of cells run at once: the workers the pool cannot fill with
+// cells go to the cells themselves, as windowed-CP shards. A matrix with at least
+// as many cells as workers gets 1 — every cell runs sequentially.
+func (ex *Experiment) cellShards(cells int) int {
+	return max(1, sched.DefaultWorkers(ex.Parallel)/max(cells, 1))
 }
 
 // drained reports whether the graceful-shutdown signal has fired.
@@ -456,11 +468,13 @@ func (ex *Experiment) drained() bool {
 
 // cell is one (workload, target) slot. compiled, when non-nil, is the
 // code the cell executes; otherwise prog is compiled for tgt with the
-// default options.
+// default options. shards is the cell's share of the worker budget:
+// above 1 its windowed CP runs sharded over that many goroutines.
 type cell struct {
 	prog     *ir.Program
 	tgt      cc.Target
 	compiled *cc.Compiled
+	shards   int
 }
 
 func (c cell) compile() (*cc.Compiled, error) {
@@ -673,10 +687,10 @@ func (p *plan) add(name string, s isa.Sink) {
 }
 
 // newPlan builds the sinks ex selects for a cell compiled into
-// compiled. parallel is the resolved worker count: above 1 the
-// windowed analysis is the sharded implementation (bit-identical
-// results). tracer, when non-nil, is attached to the timing model.
-func newPlan(ex Experiment, compiled *cc.Compiled, parallel int, tracer simeng.PipelineObserver) *plan {
+// compiled. shards is the cell's worker share: above 1 the windowed
+// analysis is the sharded implementation (bit-identical results).
+// tracer, when non-nil, is attached to the timing model.
+func newPlan(ex Experiment, compiled *cc.Compiled, shards int, tracer simeng.PipelineObserver) *plan {
 	p := &plan{}
 	if ex.PathLength {
 		p.pl = core.NewPathLength(compiled.File.Symbols)
@@ -701,8 +715,8 @@ func newPlan(ex Experiment, compiled *cc.Compiled, parallel int, tracer simeng.P
 		if sizes == nil {
 			sizes = core.PaperWindowSizes()
 		}
-		if parallel > 1 {
-			p.win = core.NewShardedWindowedCP(sizes, ex.WindowStride, parallel)
+		if shards > 1 {
+			p.win = core.NewShardedWindowedCP(sizes, ex.WindowStride, shards)
 		} else {
 			p.win = core.NewWindowedCritPathStride(sizes, ex.WindowStride)
 		}
@@ -794,13 +808,6 @@ func runOne(ctx context.Context, c cell, ex Experiment, attempt, lane int, rec *
 		mach = ex.WrapMachine(prog.Name, tgt.String(), attempt, mach)
 	}
 
-	// parallel > 1 selects the fan-out engine: the cell's trace is
-	// simulated once and replayed into every analysis concurrently,
-	// with the windowed-CP computation itself sharded. parallel == 1
-	// is the strictly sequential reference path (one goroutine, the
-	// instrumented tee); both produce identical analysis results.
-	parallel := sched.DefaultWorkers(ex.Parallel)
-
 	// tracer stays a nil interface when no trace is asked for, so the
 	// cores skip their per-instruction observer call.
 	var tracer simeng.PipelineObserver
@@ -808,7 +815,7 @@ func runOne(ctx context.Context, c cell, ex Experiment, attempt, lane int, rec *
 		row.Trace = ex.Trace()
 		tracer = row.Trace
 	}
-	p := newPlan(ex, compiled, parallel, tracer)
+	p := newPlan(ex, compiled, c.shards, tracer)
 	names, sinks := p.names, p.sinks
 
 	var rm *telemetry.RunMetrics
@@ -841,118 +848,63 @@ func runOne(ctx context.Context, c cell, ex Experiment, attempt, lane int, rec *
 	if ex.Log != nil {
 		emu.Log = slogx.WithCell(ex.Log, prog.Name, tgt.String(), attempt)
 	}
-	// observe interposes the pass-through observers on the cell's
-	// outermost sink: the flight recorder (so the ring holds exactly
-	// what the sinks saw, including the event a faulty sink died on)
-	// and the status-board meter. Applied after WrapSink so injected
-	// sink faults are themselves recorded.
-	observe := func(s isa.Sink) (isa.Sink, *obs.Meter) {
-		if rec != nil {
-			s = rec.Wrap(s)
-		}
-		meter := obs.NewMeter(ex.Status, prog.Name, tgt.String(), s)
-		if meter != nil {
-			s = meter
-		}
-		return s, meter
+	// The cell's one delivery path: the core feeds the (optionally
+	// fused) stream into the tee, which hands each batch to every
+	// analysis in order and times each delivery.
+	tee := telemetry.NewTee()
+	for i := range sinks {
+		tee.Add(names[i], sinks[i])
 	}
-	var stats simeng.Stats
+	var sink isa.Sink
+	if len(sinks) > 0 || rm != nil {
+		sink = tee.CountRunMetrics(rm)
+	}
 	var fus *fusion.Pass
+	if sink != nil && ex.Fusion.Active(tgt.Arch) {
+		fus = fusion.NewPass(ex.Fusion, tgt.Arch, sink)
+		sink = fus
+	}
+	if ex.WrapSink != nil {
+		sink = ex.WrapSink(prog.Name, tgt.String(), attempt, sink)
+	}
+	// The pass-through observers wrap the outermost sink: the flight
+	// recorder (so the ring holds exactly what the sinks saw, including
+	// the event a faulty sink died on) and the status-board meter.
+	// Applied after WrapSink so injected sink faults are themselves
+	// recorded.
+	if rec != nil {
+		sink = rec.Wrap(sink)
+	}
+	meter := obs.NewMeter(ex.Status, prog.Name, tgt.String(), sink)
+	if meter != nil {
+		sink = meter
+	}
 	setup.End()
 	runStart := ex.Prof.Now()
 	start := time.Now()
-	if parallel > 1 {
-		consumers := append([]isa.Sink(nil), sinks...)
-		consumerNames := names
-		if rm != nil {
-			consumers = append(consumers, rm)
-			consumerNames = append(append([]string(nil), names...), "runmetrics")
+	stats, err := emu.Run(mach, sink)
+	meter.Flush()
+	if err != nil {
+		return row, err
+	}
+	if fus != nil {
+		fus.Flush() // before reading tee stats or analysis results
+	}
+	if len(sinks) > 0 {
+		row.Sinks = tee.Stats()
+	}
+	if ex.Prof.Enabled() {
+		// Lay the core's simulate/deliver split, then the tee's measured
+		// per-sink delivery times, end to end on the cell's lane.
+		cursor := runStart
+		span := func(stage prof.Stage, label string, ns int64) {
+			ex.Prof.Record(lane, stage, label, cellID, cursor, cursor+ns)
+			cursor += ns
 		}
-		var fs *sched.FanoutStats
-		if ex.Prof.Enabled() {
-			fs = &sched.FanoutStats{}
-		}
-		n, err := sched.FanoutTimed(func(s isa.Sink) error {
-			// The fusion pass wraps the broadcast sink, so every consumer
-			// sees the same rewritten stream and the returned n counts
-			// fused events — the effective path length, matching the
-			// sequential tee's count.
-			if ex.Fusion.Active(tgt.Arch) {
-				fus = fusion.NewPass(ex.Fusion, tgt.Arch, s)
-				s = fus
-			}
-			if ex.WrapSink != nil {
-				s = ex.WrapSink(prog.Name, tgt.String(), attempt, s)
-			}
-			s, meter := observe(s)
-			defer meter.Flush()
-			var runErr error
-			stats, runErr = emu.Run(mach, s)
-			if runErr == nil && fus != nil {
-				// Deliver the carried trailing event while the broadcast
-				// is still open.
-				fus.Flush()
-			}
-			return runErr
-		}, fs, consumers...)
-		if err != nil {
-			return row, err
-		}
-		for _, sn := range names {
-			row.Sinks = append(row.Sinks, telemetry.SinkStats{Name: sn, Events: n})
-		}
-		if fs != nil {
-			// Sink busy times run concurrently in reality; they are laid
-			// out sequentially after simulate/deliver on the cell's lane
-			// so the timeline renders without overlap — the durations,
-			// which is what attribution sums, stay exact.
-			cursor := recordStageSpans(ex.Prof, lane, cellID, runStart, emu.Stages)
-			for i, busy := range fs.SinkBusyNs {
-				ex.Prof.Record(lane, prof.StageSink, consumerNames[i], cellID, cursor, cursor+busy)
-				cursor += busy
-			}
-		}
-	} else {
-		tee := telemetry.NewTee()
-		for i := range sinks {
-			tee.Add(names[i], sinks[i])
-		}
-		if rm != nil {
-			tee.CountRunMetrics(rm)
-		}
-		var sink isa.Sink
-		if len(sinks) > 0 || rm != nil {
-			sink = tee
-		}
-		if sink != nil && ex.Fusion.Active(tgt.Arch) {
-			fus = fusion.NewPass(ex.Fusion, tgt.Arch, sink)
-			sink = fus
-		}
-		if ex.WrapSink != nil {
-			sink = ex.WrapSink(prog.Name, tgt.String(), attempt, sink)
-		}
-		sink, meter := observe(sink)
-		stats, err = emu.Run(mach, sink)
-		meter.Flush()
-		if err != nil {
-			return row, err
-		}
-		if fus != nil {
-			fus.Flush() // before reading tee stats or analysis results
-		}
-		if len(sinks) > 0 {
-			row.Sinks = tee.Stats()
-		}
-		if ex.Prof.Enabled() {
-			// On the sequential path per-sink cost comes from the tee's
-			// sampled estimate (EstOverheadNs), laid out after
-			// simulate/deliver like the fan-out path.
-			cursor := recordStageSpans(ex.Prof, lane, cellID, runStart, emu.Stages)
-			for _, ss := range tee.Stats() {
-				est := int64(ss.EstOverheadNs)
-				ex.Prof.Record(lane, prof.StageSink, ss.Name, cellID, cursor, cursor+est)
-				cursor += est
-			}
+		span(prof.StageSimulate, "", emu.Stages.SimulateNs)
+		span(prof.StageDeliver, "", emu.Stages.DeliverNs)
+		for _, ss := range row.Sinks {
+			span(prof.StageSink, ss.Name, int64(ss.SampledNs))
 		}
 	}
 	row.WallSeconds = time.Since(start).Seconds()
@@ -979,18 +931,6 @@ func runOne(ctx context.Context, c cell, ex Experiment, attempt, lane int, rec *
 	row.PathLen = stats.Instructions
 	p.collect(&row)
 	return row, nil
-}
-
-// recordStageSpans lays the core's simulate/deliver split onto the
-// cell's lane starting at runStart and returns the cursor after the
-// last span — the anchor for the per-sink spans that follow.
-func recordStageSpans(p *prof.Profiler, lane int, cell string, runStart int64, st simeng.StageNs) int64 {
-	cursor := runStart
-	p.Record(lane, prof.StageSimulate, "", cell, cursor, cursor+st.SimulateNs)
-	cursor += st.SimulateNs
-	p.Record(lane, prof.StageDeliver, "", cell, cursor, cursor+st.DeliverNs)
-	cursor += st.DeliverNs
-	return cursor
 }
 
 // fusionRecord converts the pass counters into the manifest fusion

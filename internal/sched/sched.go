@@ -1,14 +1,12 @@
-// Package sched is the parallel analysis engine: a fixed-size worker
-// pool that fans the full analysis matrix (workload x ISA x compiler x
-// analysis) out over GOMAXPROCS workers, and a streaming fan-out that
-// replays one simulated event trace into several analysis consumers
-// concurrently so each (workload, ISA, compiler) cell is simulated
-// exactly once.
+// Package sched is the parallel analysis engine's worker pool: a
+// fixed-size pool that spreads the full analysis matrix (workload x
+// ISA x compiler x analysis cells) over GOMAXPROCS workers. Each cell
+// is simulated exactly once and delivered to its analyses in order on
+// the worker that runs it.
 //
 // Determinism is the design constraint: tasks write their results into
-// caller-owned slots, every consumer observes the complete event
-// stream in retirement order, and all cross-shard merging elsewhere in
-// the tree is integer-exact — so a parallel run produces byte-identical
+// caller-owned slots, and all cross-shard merging elsewhere in the
+// tree is integer-exact — so a parallel run produces byte-identical
 // reports and (canonicalized) manifests to a sequential one. The pool
 // exposes its behaviour through telemetry: a shared queue-depth gauge,
 // per-worker depth gauges, a cell-latency histogram and per-worker

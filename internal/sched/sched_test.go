@@ -1,12 +1,10 @@
 package sched
 
 import (
-	"errors"
 	"sync/atomic"
 	"testing"
 	"time"
 
-	"isacmp/internal/isa"
 	"isacmp/internal/telemetry"
 )
 
@@ -127,102 +125,6 @@ func TestDefaultWorkers(t *testing.T) {
 	}
 }
 
-// orderSink records the PC of every event it sees.
-type orderSink struct{ pcs []uint64 }
-
-func (o *orderSink) Event(ev *isa.Event) { o.pcs = append(o.pcs, ev.PC) }
-
-// genEvents returns a generator streaming n events with PC = index.
-func genEvents(n int) func(isa.Sink) error {
-	return func(s isa.Sink) error {
-		for i := 0; i < n; i++ {
-			ev := isa.Event{PC: uint64(i)}
-			s.Event(&ev)
-		}
-		return nil
-	}
-}
-
-// TestFanoutCompleteOrderedStreams: every consumer observes the whole
-// stream in generation order, across batch boundaries.
-func TestFanoutCompleteOrderedStreams(t *testing.T) {
-	const n = 3*fanoutBatch + 17
-	sinks := []*orderSink{{}, {}, {}}
-	count, err := Fanout(genEvents(n), sinks[0], sinks[1], sinks[2])
-	if err != nil {
-		t.Fatal(err)
-	}
-	if count != n {
-		t.Fatalf("count = %d, want %d", count, n)
-	}
-	for si, s := range sinks {
-		if len(s.pcs) != n {
-			t.Fatalf("sink %d saw %d events, want %d", si, len(s.pcs), n)
-		}
-		for i, pc := range s.pcs {
-			if pc != uint64(i) {
-				t.Fatalf("sink %d event %d: pc = %d (out of order)", si, i, pc)
-			}
-		}
-	}
-}
-
-// TestFanoutSingleSinkDirect: one sink bypasses the fan-out machinery
-// but still counts events.
-func TestFanoutSingleSinkDirect(t *testing.T) {
-	s := &orderSink{}
-	count, err := Fanout(genEvents(100), s)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if count != 100 || len(s.pcs) != 100 {
-		t.Fatalf("count=%d seen=%d, want 100/100", count, len(s.pcs))
-	}
-}
-
-func TestFanoutNoSinks(t *testing.T) {
-	count, err := Fanout(genEvents(50))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if count != 50 {
-		t.Fatalf("count = %d, want 50", count)
-	}
-}
-
-// TestFanoutNilSinksFiltered: nil entries are skipped, the rest still
-// see the full stream.
-func TestFanoutNilSinksFiltered(t *testing.T) {
-	s := &orderSink{}
-	count, err := Fanout(genEvents(10), nil, s, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if count != 10 || len(s.pcs) != 10 {
-		t.Fatalf("count=%d seen=%d, want 10/10", count, len(s.pcs))
-	}
-}
-
-// TestFanoutGenError: the generator's error is returned and consumers
-// still drain what was broadcast before it.
-func TestFanoutGenError(t *testing.T) {
-	boom := errors.New("boom")
-	s := &orderSink{}
-	_, err := Fanout(func(snk isa.Sink) error {
-		for i := 0; i < 10; i++ {
-			ev := isa.Event{PC: uint64(i)}
-			snk.Event(&ev)
-		}
-		return boom
-	}, s, &orderSink{})
-	if !errors.Is(err, boom) {
-		t.Fatalf("err = %v, want boom", err)
-	}
-	if len(s.pcs) != 10 {
-		t.Fatalf("sink saw %d events, want 10 (flush on error)", len(s.pcs))
-	}
-}
-
 // TestPoolGoWReportsWorkerLane: every task receives a valid worker id
 // and, with one worker, always lane 0 — the span profiler's lane
 // contract.
@@ -281,54 +183,5 @@ func TestPoolStatsBlocked(t *testing.T) {
 	}
 	if maxBlocked < 0.5 {
 		t.Fatalf("max worker blocked fraction = %v, want the starved worker near 1", maxBlocked)
-	}
-}
-
-// TestFanoutTimedStats: the timed fan-out fills delivery and per-sink
-// busy time while preserving the complete ordered streams.
-func TestFanoutTimedStats(t *testing.T) {
-	const n = 2*fanoutBatch + 5
-	slow := &slowSink{}
-	fast := &orderSink{}
-	var fs FanoutStats
-	count, err := FanoutTimed(genEvents(n), &fs, slow, fast)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if count != n || len(slow.pcs) != n || len(fast.pcs) != n {
-		t.Fatalf("count=%d slow=%d fast=%d, want %d everywhere", count, len(slow.pcs), len(fast.pcs), n)
-	}
-	if len(fs.SinkBusyNs) != 2 {
-		t.Fatalf("SinkBusyNs rows = %d, want 2", len(fs.SinkBusyNs))
-	}
-	if fs.SinkBusyNs[0] <= 0 {
-		t.Fatalf("slow sink busy = %dns, want > 0", fs.SinkBusyNs[0])
-	}
-	if fs.SinkBusyNs[0] <= fs.SinkBusyNs[1] {
-		t.Fatalf("slow sink (%dns) not slower than fast sink (%dns)", fs.SinkBusyNs[0], fs.SinkBusyNs[1])
-	}
-	if fs.DeliverNs <= 0 {
-		t.Fatalf("DeliverNs = %d, want > 0", fs.DeliverNs)
-	}
-}
-
-// TestFanoutTimedNilStats: a nil stats pointer must behave exactly
-// like the untimed path.
-func TestFanoutTimedNilStats(t *testing.T) {
-	s := &orderSink{}
-	count, err := FanoutTimed(genEvents(100), nil, s, &orderSink{})
-	if err != nil || count != 100 || len(s.pcs) != 100 {
-		t.Fatalf("count=%d err=%v seen=%d", count, err, len(s.pcs))
-	}
-}
-
-// slowSink burns a little time per batch so timed fan-out has
-// something to measure.
-type slowSink struct{ pcs []uint64 }
-
-func (s *slowSink) Event(ev *isa.Event) {
-	s.pcs = append(s.pcs, ev.PC)
-	if len(s.pcs)%fanoutBatch == 0 {
-		time.Sleep(time.Millisecond)
 	}
 }

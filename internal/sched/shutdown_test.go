@@ -2,31 +2,35 @@ package sched
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"runtime"
 	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
-
-	"isacmp/internal/isa"
-	"isacmp/internal/simeng"
 )
 
 // TestPoolDrainsOnCancel models the fail-fast shutdown path: the first
 // failing cell cancels a shared context and every remaining cell must
 // still be dispatched (observing the cancel and returning early) so
 // Close never deadlocks on abandoned tasks.
+//
+// Tasks after index 3 wait until task 3 has cancelled, so the
+// cancellation is always observed: the queue is FIFO, so task 3 is
+// dequeued before any waiting task and never queues behind one.
 func TestPoolDrainsOnCancel(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	p := NewPool(4, nil)
 	const n = 64
 	var ran, cancelled atomic.Int64
+	failed := make(chan struct{})
 	for i := 0; i < n; i++ {
 		i := i
 		p.Go(func() {
+			if i > 3 {
+				<-failed
+			}
 			if ctx.Err() != nil {
 				cancelled.Add(1)
 				return
@@ -34,6 +38,7 @@ func TestPoolDrainsOnCancel(t *testing.T) {
 			ran.Add(1)
 			if i == 3 {
 				cancel() // the "first failure"
+				close(failed)
 			}
 		})
 	}
@@ -149,42 +154,3 @@ func TestPoolNoGoroutineLeak(t *testing.T) {
 		time.Sleep(10 * time.Millisecond)
 	}
 }
-
-// panicSink panics on the nth event it sees.
-type panicSink struct {
-	n, at uint64
-}
-
-func (s *panicSink) Event(*isa.Event) {
-	s.n++
-	if s.n == s.at {
-		panic("injected: consumer died")
-	}
-}
-
-// TestFanoutPanickedConsumerDrains: one consumer dying mid-stream must
-// not block the generator or the healthy consumers, and its panic must
-// surface as an ErrPanic-kind error.
-func TestFanoutPanickedConsumerDrains(t *testing.T) {
-	// Enough events for many batches so the dead consumer would wedge
-	// the broadcast if it stopped receiving.
-	const n = 5 * fanoutBatch
-	healthy := [2]countOnlySink{}
-	dead := &panicSink{at: 100}
-	count, err := Fanout(genEvents(n), &healthy[0], dead, &healthy[1])
-	if count != n {
-		t.Fatalf("broadcast %d of %d events", count, n)
-	}
-	if err == nil || !errors.Is(err, simeng.ErrPanic) {
-		t.Fatalf("err = %v, want ErrPanic kind", err)
-	}
-	for i := range healthy {
-		if healthy[i].n != n {
-			t.Fatalf("healthy consumer %d saw %d of %d events", i, healthy[i].n, n)
-		}
-	}
-}
-
-type countOnlySink struct{ n uint64 }
-
-func (s *countOnlySink) Event(*isa.Event) { s.n++ }

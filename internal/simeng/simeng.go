@@ -175,7 +175,7 @@ const deadlinePoll = 4096
 // stepBatch is the batch size of the batched run loop. Equal to
 // deadlinePoll so hoisting the watchdog poll to once per batch keeps
 // the stepwise poll cadence, and large enough that per-batch costs
-// (dispatch, timing, channel hand-off in the fan-out engine) amortize
+// (dispatch, the tee's per-sink clock pairs) amortize
 // to fractions of a nanosecond per event while a batch of events
 // (~120 KiB) stays cache-resident.
 const stepBatch = deadlinePoll

@@ -616,13 +616,12 @@ type RunConfig struct {
 	// keeps only the final summary (set when stderr is not a
 	// terminal).
 	ProgressFinalOnly bool
-	// Parallel selects the analysis engine: 1 runs every sink through
-	// the sequential instrumented tee; above 1 the trace is simulated
-	// once and fanned out to the sinks concurrently, with the windowed
-	// critical-path computation itself sharded over that many workers.
+	// Parallel is the worker budget of the run. Every sink is fed in
+	// order through the instrumented tee; above 1 the windowed
+	// critical-path computation is sharded over that many workers.
 	// 0 or negative selects GOMAXPROCS. Analysis results are identical
-	// for every value — only per-sink overhead sampling (a telemetry
-	// artifact, zeroed by manifest canonicalization) differs.
+	// for every value — only the measured per-sink times (a telemetry
+	// artifact, zeroed by manifest canonicalization) differ.
 	Parallel int
 	// Fusion configures the macro-op fusion pass interposed between
 	// the core and the analyses, so every attached analysis sees the
@@ -819,13 +818,15 @@ func OpenDurable(dir string, resume bool) (*DurableRun, error) {
 }
 
 // Parallel matrix surface (see internal/report and internal/sched):
-// the full workload x ISA x compiler x analysis matrix fanned out over
-// a worker pool, with each cell's trace simulated once.
+// the full workload x ISA x compiler x analysis matrix spread over a
+// worker pool, with each cell's trace simulated once.
 type (
-	// MatrixExperiment selects the analyses, targets and worker count
+	// MatrixExperiment selects the analyses, targets and worker budget
 	// for a matrix run. Parallel: 1 is strictly sequential, 0 or
-	// negative selects GOMAXPROCS; results are byte-identical for every
-	// value.
+	// negative selects GOMAXPROCS. The pool runs one cell per worker;
+	// only when workers outnumber cells does each cell shard its
+	// windowed CP over workers/cells goroutines. Results are
+	// byte-identical for every value.
 	MatrixExperiment = report.Experiment
 	// MatrixRow is one (workload, target) cell's results.
 	MatrixRow = report.Row

@@ -2,6 +2,7 @@ package isacmp
 
 import (
 	"bytes"
+	"fmt"
 	"reflect"
 	"testing"
 	"time"
@@ -52,6 +53,10 @@ func matrixArtifactsEx(t *testing.T, ex MatrixExperiment) (text, manifest []byte
 	return buf.Bytes(), mbuf.Bytes()
 }
 
+// tinyCells is the cell count of the full tiny matrix: every workload
+// of Suite(Tiny) on every target.
+var tinyCells = len(Suite(Tiny)) * len(Targets())
+
 // stepOnly hides StepN (embedding only the Machine interface), so the
 // core drives the machine through the per-Step loop every
 // non-BatchMachine takes.
@@ -65,11 +70,12 @@ func stepwise(ex MatrixExperiment) MatrixExperiment {
 
 // TestParallelByteIdentical enforces the -parallel determinism
 // contract: the full analysis matrix run sequentially and run over a
-// multi-worker pool (with per-cell trace fan-out and sharded windowed
-// CP) must produce byte-identical report text and byte-identical
-// canonicalized manifests. The same holds with every watchdog —
-// wall-clock deadline, instruction budget and retries — armed
-// generously enough that none fires.
+// multi-worker pool must produce byte-identical report text and
+// byte-identical canonicalized manifests — both when the pool has
+// fewer workers than cells (every cell sequential) and when it has
+// spare workers (every cell shards its windowed CP). The same holds
+// with every watchdog — wall-clock deadline, instruction budget and
+// retries — armed generously enough that none fires.
 func TestParallelByteIdentical(t *testing.T) {
 	seqText, seqManifest := matrixArtifacts(t, 1)
 	full := MatrixExperiment{PathLength: true, CritPath: true, Scaled: true, Windowed: true}
@@ -80,7 +86,10 @@ func TestParallelByteIdentical(t *testing.T) {
 		name    string
 		ex      MatrixExperiment
 		workers int
-	}{{"bare", full, 2}, {"bare", full, 5}, {"watchdogs armed", armed, 1}, {"watchdogs armed", armed, 2}} {
+	}{
+		{"bare", full, 2}, {"bare", full, 5}, {"sharded cells", full, 2 * tinyCells},
+		{"watchdogs armed", armed, 1}, {"watchdogs armed", armed, 2},
+	} {
 		ex := v.ex
 		ex.Parallel = v.workers
 		text, manifest := matrixArtifactsEx(t, ex)
@@ -95,8 +104,8 @@ func TestParallelByteIdentical(t *testing.T) {
 
 // TestRunInstrumentedParallelIdentical: the instrumented single-run
 // path (RunConfig.Parallel) must also be invariant — same Result, and
-// byte-identical canonicalized manifest — whether the sinks run
-// inline behind the tee or concurrently behind the fan-out.
+// byte-identical canonicalized manifest — whether the windowed CP runs
+// sequentially or sharded over the worker budget.
 func TestRunInstrumentedParallelIdentical(t *testing.T) {
 	prog := Workload("stream", Tiny)
 	bin, err := Compile(prog, Target{Arch: RV64, Flavor: GCC12})
@@ -133,9 +142,9 @@ func TestRunInstrumentedParallelIdentical(t *testing.T) {
 	}
 }
 
-// TestRunInstrumentedParallelWithModel: the fan-out path must feed
-// trace-driven timing models the complete stream — cycle counts match
-// the sequential tee run exactly.
+// TestRunInstrumentedParallelWithModel: trace-driven timing models see
+// the complete stream at every worker budget — cycle counts match the
+// sequential run exactly.
 func TestRunInstrumentedParallelWithModel(t *testing.T) {
 	prog := Workload("stream", Tiny)
 	bin, err := Compile(prog, Target{Arch: AArch64, Flavor: GCC12})
@@ -220,6 +229,52 @@ func TestProfiledByteIdentical(t *testing.T) {
 			if !stages[want] {
 				t.Errorf("parallel=%d: no %q spans captured (got %v)", workers, want, stages)
 			}
+		}
+	}
+}
+
+// TestSinkTimingEveryWidth: the tee times every batched delivery, so a
+// non-canonical record carries per-sink cost at every worker budget —
+// sampled_events covers the whole stream and the windowed CP has a
+// measured time — for a single instrumented run and for matrix rows.
+func TestSinkTimingEveryWidth(t *testing.T) {
+	check := func(t *testing.T, what string, sinks []telemetry.SinkStats) {
+		t.Helper()
+		var sawWindowCP bool
+		for _, s := range sinks {
+			if s.Events == 0 || s.SampledEvents != s.Events {
+				t.Errorf("%s: sink %s sampled %d of %d events, want all", what, s.Name, s.SampledEvents, s.Events)
+			}
+			if s.Name == "windowcp" {
+				sawWindowCP = true
+				if s.SampledNs == 0 || s.EstOverheadNs == 0 {
+					t.Errorf("%s: windowcp sampled_ns=%d est_overhead_ns=%d, want > 0", what, s.SampledNs, s.EstOverheadNs)
+				}
+			}
+		}
+		if !sawWindowCP {
+			t.Errorf("%s: no windowcp sink in %+v", what, sinks)
+		}
+	}
+	bin, err := Compile(Workload("stream", Tiny), Target{Arch: RV64, Flavor: GCC12})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sel := Analyses{PathLength: true, CritPath: true, Windowed: true}
+	for _, parallel := range []int{1, 2} {
+		_, rec, err := bin.RunInstrumented(RunConfig{Analyses: sel, Parallel: parallel})
+		if err != nil {
+			t.Fatal(err)
+		}
+		check(t, fmt.Sprintf("RunInstrumented parallel=%d", parallel), rec.Sinks)
+		rows, _, err := RunMatrix(Suite(Tiny)[:1], MatrixExperiment{
+			PathLength: true, CritPath: true, Windowed: true, Parallel: parallel,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, row := range rows[0] {
+			check(t, fmt.Sprintf("matrix %s parallel=%d", row.Target, parallel), row.Sinks)
 		}
 	}
 }
