@@ -37,11 +37,14 @@ differential:
 	$(GO) test -race -count=1 -run 'TestDifferential|TestParallel|TestRunInstrumentedParallel|TestCrossPathAgreement' .
 
 # golden checks the pinned paper artifacts (Table 1/2, Figure 1/2,
-# canonical manifest) under the race detector. Regenerate after an
-# intentional output change with:
+# canonical manifest) and the emulation core's pipeline trace, fed
+# through the core's per-batch hook with fusion off and on, under the
+# race detector. Regenerate after an intentional output change with:
 #	$(GO) test ./internal/report -run TestGolden -update
+#	$(GO) test ./cmd/isacmp -run TestRunTraceGolden -update
 golden:
 	$(GO) test -race -count=1 -run TestGolden ./internal/report
+	$(GO) test -race -count=1 -run TestRunTraceGolden ./cmd/isacmp
 
 # check-faults runs the fault-injection and shutdown-path suites under
 # the race detector: matrix survival with injected decode/memory/panic
@@ -56,12 +59,17 @@ check-faults:
 # check-obs runs the observability suites under the race detector:
 # Prometheus exposition goldens, status board and SSE semantics, the
 # live-matrix HTTP round trip with injected faults, the flight
-# recorder, structured logging, manifest v1 compatibility — and the goroutine-leak shutdown contract
-# (TestObsShutdown: the server follows experiment-context
-# cancellation and Close leaves nothing behind).
+# recorder, structured logging, manifest v1 compatibility, the
+# goroutine-leak shutdown contract (TestObsShutdown: the server
+# follows experiment-context cancellation and Close leaves nothing
+# behind) — and the core's per-batch hook that feeds every observer
+# (TestEmulationCoreOnBatch), with the heartbeat it drives
+# (TestProgressHeartbeat: architectural retired count and a rate
+# measured over the run, under fusion).
 check-obs:
 	$(GO) test -race -count=1 ./internal/obs/...
-	$(GO) test -race -count=1 -run 'TestReadManifest|TestCanonicalize' ./internal/telemetry
+	$(GO) test -race -count=1 -run 'TestEmulationCoreOnBatch' ./internal/simeng
+	$(GO) test -race -count=1 -run 'TestReadManifest|TestCanonicalize|TestProgressHeartbeat' ./internal/telemetry
 
 # check-prof runs the span-profiler suites under the race detector:
 # the prof package itself (ring/totals semantics, Chrome-trace export,

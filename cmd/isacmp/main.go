@@ -233,7 +233,6 @@ func main() {
 	}
 	if *progressFlag {
 		baseEx.Progress = os.Stderr
-		baseEx.ProgressFinalOnly = !slogx.IsTerminal(os.Stderr)
 	}
 	if *strideFlag != 0 {
 		baseEx.WindowStride = *strideFlag

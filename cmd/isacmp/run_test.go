@@ -15,9 +15,9 @@ import (
 	"isacmp/internal/telemetry"
 )
 
-// -update regenerates the `run` manifest goldens:
+// -update regenerates the `run` manifest and pipeline-trace goldens:
 //
-//	go test ./cmd/isacmp -run TestRunGolden -update
+//	go test ./cmd/isacmp -run 'TestRunGolden|TestRunTraceGolden' -update
 var update = flag.Bool("update", false, "rewrite golden files")
 
 // mainEnv marks a re-executed test binary that should behave as the
@@ -119,6 +119,48 @@ func TestRunGolden(t *testing.T) {
 				}
 				if !bytes.Equal(got, want) {
 					t.Errorf("-parallel %s: manifest drifted from %s\n-- got --\n%s", par, path, got)
+				}
+			}
+		})
+	}
+}
+
+// TestRunTraceGolden pins the emulation core's pipeline trace of one
+// cell, with fusion off and on, at one and two workers. The trace is
+// fed from the core's retirement stream, before fusion, so both
+// settings must give the same file: each event k is the span [k, k+1)
+// and the ring keeps the last -trace-cap sampled spans.
+func TestRunTraceGolden(t *testing.T) {
+	path := filepath.Join("testdata", "run_trace_emulation_stream_tiny.json")
+	for _, c := range []struct {
+		name  string
+		flags []string
+	}{
+		{"fusion-off", nil},
+		{"fusion-both", []string{"-fusion", "both"}},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			for _, par := range []string{"1", "2"} {
+				trace := filepath.Join(t.TempDir(), "t.json")
+				args := append([]string{"run", "-scale", "tiny", "-bench", "stream", "-target", "rv64-gcc12",
+					"-trace", trace, "-trace-cap", "256", "-trace-sample", "7", "-parallel", par}, c.flags...)
+				mustRun(t, args...)
+				got, err := os.ReadFile(trace)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if *update {
+					if err := durable.WriteFileAtomic(path, got, 0o644); err != nil {
+						t.Fatal(err)
+					}
+					continue
+				}
+				want, err := os.ReadFile(path)
+				if err != nil {
+					t.Fatalf("%v (run `go test ./cmd/isacmp -run TestRunTraceGolden -update` to create)", err)
+				}
+				if !bytes.Equal(got, want) {
+					t.Errorf("-parallel %s: pipeline trace drifted from %s", par, path)
 				}
 			}
 		})

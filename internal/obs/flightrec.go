@@ -70,10 +70,12 @@ type Postmortem struct {
 }
 
 // Recorder is a per-cell flight recorder: a bounded ring of the last N
-// retired events plus running architectural tallies, wrapped around
-// the cell's analysis sink. It is written and dumped by the one
-// goroutine that runs the attempt — never shared — so it needs no
-// locking and adds only a few stores per event to the hot path.
+// retired events plus running architectural tallies, fed each batch by
+// the core's OnBatch hook just before the analyses see it — so the
+// ring includes the batch a faulty sink dies in. It is written and
+// dumped by the one goroutine that runs the attempt — never shared —
+// so it needs no locking and adds only a few stores per event to the
+// hot path.
 type Recorder struct {
 	ring     []FlightEvent
 	next     int
@@ -89,9 +91,6 @@ type Recorder struct {
 	attempt  int
 	reg      *telemetry.Registry
 	start    telemetry.Snapshot
-
-	inner isa.Sink
-	batch isa.BatchSink
 }
 
 // NewRecorder builds a recorder for one attempt of one cell. n is the
@@ -116,38 +115,45 @@ func NewRecorder(n int, runID, workload, target string, attempt int, reg *teleme
 	return r
 }
 
-// Wrap interposes the recorder in front of inner and returns the
-// combined sink. The batched path is preserved.
-func (r *Recorder) Wrap(inner isa.Sink) isa.Sink {
-	r.inner = inner
-	if bs, ok := inner.(isa.BatchSink); ok {
-		r.batch = bs
+// Record observes a batch of retired instructions. Every event is
+// tallied; only the ones that can still be in the ring afterwards (the
+// batch's last cap(ring)) are copied into it.
+func (r *Recorder) Record(evs []isa.Event) {
+	if skip := len(evs) - cap(r.ring); skip > 0 {
+		for i := range evs[:skip] {
+			r.tally(&evs[i])
+		}
+		evs = evs[skip:]
 	}
-	return r
+	for i := range evs {
+		ev := &evs[i]
+		fe := FlightEvent{
+			Seq:       r.total,
+			PC:        ev.PC,
+			Word:      ev.Word,
+			Group:     ev.Group.String(),
+			LoadAddr:  ev.LoadAddr,
+			LoadSize:  ev.LoadSize,
+			StoreAddr: ev.StoreAddr,
+			StoreSize: ev.StoreSize,
+			Branch:    ev.Branch,
+			Taken:     ev.Taken,
+		}
+		if len(r.ring) < cap(r.ring) {
+			r.ring = append(r.ring, fe)
+		} else {
+			r.ring[r.next] = fe
+		}
+		r.next++
+		if r.next == cap(r.ring) {
+			r.next = 0
+		}
+		r.tally(ev)
+	}
 }
 
-func (r *Recorder) record(ev *isa.Event) {
-	fe := FlightEvent{
-		Seq:       r.total,
-		PC:        ev.PC,
-		Word:      ev.Word,
-		Group:     ev.Group.String(),
-		LoadAddr:  ev.LoadAddr,
-		LoadSize:  ev.LoadSize,
-		StoreAddr: ev.StoreAddr,
-		StoreSize: ev.StoreSize,
-		Branch:    ev.Branch,
-		Taken:     ev.Taken,
-	}
-	if len(r.ring) < cap(r.ring) {
-		r.ring = append(r.ring, fe)
-	} else {
-		r.ring[r.next] = fe
-	}
-	r.next++
-	if r.next == cap(r.ring) {
-		r.next = 0
-	}
+// tally counts one retired instruction in the attempt totals.
+func (r *Recorder) tally(ev *isa.Event) {
 	r.total++
 	if ev.LoadSize > 0 {
 		r.loads++
@@ -159,28 +165,6 @@ func (r *Recorder) record(ev *isa.Event) {
 		r.branches++
 		if ev.Taken {
 			r.taken++
-		}
-	}
-}
-
-// Event observes one retired instruction.
-func (r *Recorder) Event(ev *isa.Event) {
-	r.record(ev)
-	if r.inner != nil {
-		r.inner.Event(ev)
-	}
-}
-
-// Events observes a batch of retired instructions.
-func (r *Recorder) Events(evs []isa.Event) {
-	for i := range evs {
-		r.record(&evs[i])
-	}
-	if r.batch != nil {
-		r.batch.Events(evs)
-	} else if r.inner != nil {
-		for i := range evs {
-			r.inner.Event(&evs[i])
 		}
 	}
 }

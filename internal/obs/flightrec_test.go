@@ -3,6 +3,7 @@ package obs
 import (
 	"encoding/json"
 	"errors"
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
@@ -13,17 +14,28 @@ import (
 	"isacmp/internal/telemetry"
 )
 
-// feed pushes n events with distinguishable PCs through the recorder.
-func feed(r *Recorder, n int) {
-	for i := 0; i < n; i++ {
-		ev := isa.Event{PC: uint64(0x1000 + 4*i), Branch: i%4 == 0, Taken: i%8 == 0}
+// events returns n events with distinguishable PCs.
+func events(n int) []isa.Event {
+	evs := make([]isa.Event, n)
+	for i := range evs {
+		ev := &evs[i]
+		ev.PC, ev.Branch, ev.Taken = uint64(0x1000+4*i), i%4 == 0, i%8 == 0
 		if i%3 == 0 {
 			ev.LoadSize = 8
 		}
 		if i%5 == 0 {
 			ev.StoreSize = 8
 		}
-		r.Event(&ev)
+	}
+	return evs
+}
+
+// feed pushes n events through the recorder one at a time, as the
+// stepwise run loop does.
+func feed(r *Recorder, n int) {
+	evs := events(n)
+	for i := range evs {
+		r.Record(evs[i : i+1])
 	}
 }
 
@@ -54,20 +66,28 @@ func TestRecorderRing(t *testing.T) {
 	}
 }
 
-// TestRecorderWrapPassThrough: interposing the recorder must not
-// change what the inner sink observes, on both delivery paths.
-func TestRecorderWrapPassThrough(t *testing.T) {
-	inner := &batchSink{}
-	r := NewRecorder(4, "run", "w", "t", 1, nil)
-	sink := r.Wrap(inner)
-	var ev isa.Event
-	sink.Event(&ev)
-	r.Events(make([]isa.Event, 5))
-	if inner.n != 6 || inner.batches != 1 {
-		t.Errorf("inner saw %d events / %d batches, want 6/1", inner.n, inner.batches)
+// TestRecorderRecord: recording whole batches leaves the recorder in
+// exactly the state one-at-a-time recording does — ring, sequence
+// numbers and tallies — and never changes the batch it reads.
+func TestRecorderRecord(t *testing.T) {
+	one := NewRecorder(4, "run", "w", "t", 1, nil)
+	feed(one, 10)
+	batched := NewRecorder(4, "run", "w", "t", 1, nil)
+	evs := events(10)
+	batched.Record(evs[:7])
+	batched.Record(nil)
+	batched.Record(evs[7:])
+	if got, want := batched.lastEvents(), one.lastEvents(); len(got) != 4 || fmt.Sprint(got) != fmt.Sprint(want) {
+		t.Errorf("batched ring = %+v, want %+v", got, want)
 	}
-	if r.total != 6 {
-		t.Errorf("recorder total = %d, want 6", r.total)
+	if batched.total != 10 || batched.loads != one.loads || batched.stores != one.stores ||
+		batched.branches != one.branches || batched.taken != one.taken {
+		t.Errorf("batched tallies = %d/%d/%d/%d/%d, want 10/%d/%d/%d/%d",
+			batched.total, batched.loads, batched.stores, batched.branches, batched.taken,
+			one.loads, one.stores, one.branches, one.taken)
+	}
+	if fmt.Sprint(evs) != fmt.Sprint(events(10)) {
+		t.Error("Record modified the batch it observed")
 	}
 }
 

@@ -2,11 +2,13 @@ package obs_test
 
 import (
 	"bufio"
+	"bytes"
 	"context"
 	"encoding/json"
 	"net/http"
 	"os"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -210,9 +212,9 @@ func TestLiveMatrixObserved(t *testing.T) {
 func TestPanickingCellPostmortem(t *testing.T) {
 	progs := tinyStream(t)
 	dir := t.TempDir()
-	// A sink panic: the recorder is interposed outside the injected
-	// sink, so the ring holds the retirements that flowed into the
-	// analysis right up to the crash.
+	// A sink panic: the core's per-batch hook feeds the recorder just
+	// before the injected sink sees a batch, so the ring holds the lead-up
+	// to the crash, including the batch the sink died in.
 	inj := faultinject.New(1, faultinject.Plan{
 		Workload: "stream", Target: "RISC-V/GCC 12.2",
 		Kind: faultinject.SinkPanic, At: 200,
@@ -274,13 +276,42 @@ func TestPanickingCellPostmortem(t *testing.T) {
 	}
 }
 
-// TestObsByteIdentity: the full control plane (board, meter, flight
-// recorder) interposed on a fault-free run must not change a single
-// result byte relative to a bare run — the observability layer is a
-// pure observer.
+// lockedBuffer is a bytes.Buffer safe for the concurrent writes of
+// several cells' heartbeats.
+type lockedBuffer struct {
+	mu sync.Mutex
+	b  bytes.Buffer
+}
+
+func (w *lockedBuffer) Write(p []byte) (int, error) {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	return w.b.Write(p)
+}
+
+func (w *lockedBuffer) String() string {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	return w.b.String()
+}
+
+// TestObsByteIdentity: the full control plane (board, flight
+// recorder, heartbeat) observing a run must not change a single result
+// byte relative to a bare run — neither the canonical run records nor
+// the failure record of a cell whose analysis sink panics. The
+// observers ride on the core's per-batch hook, not on the sink chain,
+// so the core keeps its exact per-event delivery and reports the same
+// in-flight retirement count either way.
 func TestObsByteIdentity(t *testing.T) {
 	progs := tinyStream(t)
+	inj := faultinject.New(1, faultinject.Plan{
+		Workload: "stream", Target: "RISC-V/GCC 12.2",
+		Kind: faultinject.SinkPanic, At: 200,
+	})
+	defer inj.Close()
 	canon := func(ex report.Experiment) string {
+		ex.PathLength, ex.CritPath, ex.Parallel = true, true, 2
+		ex.WrapSink = inj.WrapSink
 		all, _, err := report.RunSuite(progs, ex)
 		if err != nil {
 			t.Fatal(err)
@@ -288,33 +319,43 @@ func TestObsByteIdentity(t *testing.T) {
 		m := telemetry.NewManifest("obs-test", "tiny")
 		report.AppendRows(m, "stream", all[0])
 		m.Canonicalize()
-		data, err := json.Marshal(m.Runs)
+		data, err := json.Marshal(struct {
+			Runs     []telemetry.RunRecord
+			Failures []telemetry.FailureRecord
+		}{m.Runs, m.Failures})
 		if err != nil {
 			t.Fatal(err)
 		}
 		return string(data)
 	}
 
-	bare := canon(report.Experiment{PathLength: true, CritPath: true, Parallel: 2})
+	bare := canon(report.Experiment{})
 
 	reg := telemetry.NewRegistry()
 	board := obs.NewBoard("run-id", reg)
+	heartbeat := &lockedBuffer{}
 	observed := canon(report.Experiment{
-		PathLength: true, CritPath: true, Parallel: 2,
 		Metrics: reg, RunID: "run-id", Status: board,
 		FlightDir: t.TempDir(), FlightEvents: 64,
+		Progress: heartbeat,
 	})
 	if observed != bare {
 		t.Errorf("observed run drifted from bare run:\n got %s\nwant %s", observed, bare)
 	}
+	if !strings.Contains(bare, `"retired":200`) {
+		t.Errorf("failure record must carry the exact in-flight retirement count 200:\n%s", bare)
+	}
+	if n := strings.Count(heartbeat.String(), "\n"); n != 3 {
+		t.Errorf("heartbeat wrote %d lines, want one final line per healthy cell (3):\n%s", n, heartbeat.String())
+	}
 
-	// And the board saw every cell complete.
+	// And the board saw every healthy cell complete.
 	doc := board.Status()
-	if doc.States["done"] != 4 {
-		t.Errorf("board states = %+v, want 4 done", doc.States)
+	if doc.States["done"] != 3 || doc.States["failed"] != 1 {
+		t.Errorf("board states = %+v, want 3 done and 1 failed", doc.States)
 	}
 	for _, c := range doc.Cells {
-		if c.Retired == 0 {
+		if c.State == obs.CellDone && c.Retired == 0 {
 			t.Errorf("cell %s/%s retired count never reached the board", c.Workload, c.Target)
 		}
 	}

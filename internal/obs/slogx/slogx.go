@@ -91,9 +91,8 @@ func WithCell(l *slog.Logger, workload, target string, attempt int) *slog.Logger
 }
 
 // IsTerminal reports whether f is attached to a terminal. The progress
-// heartbeat uses it to stop spamming periodic lines into piped or
-// redirected output (satellite of the heartbeat fix: respect non-TTY
-// stderr).
+// heartbeat uses it to keep its periodic lines out of piped or
+// redirected output.
 func IsTerminal(f *os.File) bool {
 	if f == nil {
 		return false

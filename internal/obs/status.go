@@ -5,7 +5,6 @@ import (
 	"sync"
 	"time"
 
-	"isacmp/internal/isa"
 	"isacmp/internal/telemetry"
 )
 
@@ -315,8 +314,8 @@ func (b *Board) Served(workload, target, source string, failed bool, reason stri
 }
 
 // Progress updates a running cell's retired-instruction count. Called
-// from the hot path via Meter in large strides; it takes the lock but
-// broadcasts nothing.
+// from the core's per-batch hook (one lock per batch of up to 4096
+// events); it takes the lock but broadcasts nothing.
 func (b *Board) Progress(workload, target string, retired uint64) {
 	if b == nil {
 		return
@@ -424,84 +423,4 @@ func (b *Board) Status() StatusDoc {
 		}
 	}
 	return doc
-}
-
-// meterStride is how many retired events a Meter accumulates locally
-// before taking the board lock. 1<<16 keeps the hot-path cost of live
-// progress reporting to one mutex acquisition per ~65k instructions.
-const meterStride = 1 << 16
-
-// Meter wraps an analysis sink so the board sees a cell's retired
-// count advance while it runs. It forwards the batched path when the
-// inner sink supports it and obeys the event lifetime contract. A
-// pure pass-through otherwise: it must never change what the inner
-// sink observes (the byte-identity contract).
-type Meter struct {
-	board    *Board
-	workload string
-	target   string
-	inner    isa.Sink
-	batch    isa.BatchSink // non-nil when inner is batched
-	local    uint64        // events since last flush
-	total    uint64
-}
-
-// NewMeter builds a meter feeding b for the given cell, wrapping
-// inner (which may be nil — a run with no analyses still meters). A
-// nil board returns nil so unserved runs pay nothing; callers only
-// interpose the meter when it is non-nil.
-func NewMeter(b *Board, workload, target string, inner isa.Sink) *Meter {
-	if b == nil {
-		return nil
-	}
-	m := &Meter{board: b, workload: workload, target: target, inner: inner}
-	if bs, ok := inner.(isa.BatchSink); ok {
-		m.batch = bs
-	}
-	return m
-}
-
-// Event observes one retired instruction.
-func (m *Meter) Event(ev *isa.Event) {
-	if m.inner != nil {
-		m.inner.Event(ev)
-	}
-	m.local++
-	if m.local >= meterStride {
-		m.flush()
-	}
-}
-
-// Events observes a batch of retired instructions.
-func (m *Meter) Events(evs []isa.Event) {
-	switch {
-	case m.batch != nil:
-		m.batch.Events(evs)
-	case m.inner != nil:
-		for i := range evs {
-			m.inner.Event(&evs[i])
-		}
-	}
-	m.local += uint64(len(evs))
-	if m.local >= meterStride {
-		m.flush()
-	}
-}
-
-func (m *Meter) flush() {
-	m.total += m.local
-	m.local = 0
-	m.board.Progress(m.workload, m.target, m.total)
-}
-
-// Flush pushes any buffered count to the board; the runner calls it
-// once when the cell finishes so the final retired count is exact.
-// Safe on a nil meter.
-func (m *Meter) Flush() {
-	if m == nil {
-		return
-	}
-	if m.local > 0 {
-		m.flush()
-	}
 }

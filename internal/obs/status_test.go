@@ -4,7 +4,6 @@ import (
 	"testing"
 	"time"
 
-	"isacmp/internal/isa"
 	"isacmp/internal/telemetry"
 )
 
@@ -166,8 +165,7 @@ func TestServedCellsExcludedFromETA(t *testing.T) {
 }
 
 // TestNilBoard: every method is a no-op on a nil board so unserved
-// runs can drive the calls unconditionally, and NewMeter returns a nil
-// meter (whose Flush is also safe).
+// runs can drive the calls unconditionally.
 func TestNilBoard(t *testing.T) {
 	var b *Board
 	b.SetWorkers(4)
@@ -184,69 +182,6 @@ func TestNilBoard(t *testing.T) {
 	doc := b.Status()
 	if doc.Schema != StatusSchema || len(doc.Cells) != 0 {
 		t.Errorf("nil board status = %+v", doc)
-	}
-	m := NewMeter(nil, "w", "t", nil)
-	if m != nil {
-		t.Fatal("NewMeter(nil board) must return nil")
-	}
-	m.Flush() // must not panic
-}
-
-// countSink counts events through the single-event interface.
-type countSink struct{ n int }
-
-func (s *countSink) Event(*isa.Event) { s.n++ }
-
-// batchSink additionally counts batched deliveries.
-type batchSink struct {
-	countSink
-	batches int
-}
-
-func (s *batchSink) Events(evs []isa.Event) {
-	s.batches++
-	s.n += len(evs)
-}
-
-// TestMeterPassThrough: the meter forwards every event to the inner
-// sink (preserving the batched path when available) and reports the
-// exact retired count to the board after Flush.
-func TestMeterPassThrough(t *testing.T) {
-	b := NewBoard("run-m", nil)
-	b.Register("w", "t")
-
-	inner := &batchSink{}
-	m := NewMeter(b, "w", "t", inner)
-	var ev isa.Event
-	m.Event(&ev)
-	m.Events(make([]isa.Event, 7))
-	m.Flush()
-
-	if inner.n != 8 {
-		t.Errorf("inner sink saw %d events, want 8", inner.n)
-	}
-	if inner.batches != 1 {
-		t.Errorf("batched path not preserved: %d batch calls, want 1", inner.batches)
-	}
-	doc := b.Status()
-	if doc.Cells[0].Retired != 8 {
-		t.Errorf("board retired = %d, want 8", doc.Cells[0].Retired)
-	}
-
-	// An un-batched inner sink gets per-event delivery for batches.
-	plain := &countSink{}
-	m2 := NewMeter(b, "w", "t", plain)
-	m2.Events(make([]isa.Event, 3))
-	if plain.n != 3 {
-		t.Errorf("plain sink saw %d events, want 3", plain.n)
-	}
-
-	// The stride flush happens without an explicit Flush once enough
-	// events pass.
-	m3 := NewMeter(b, "w", "t", nil)
-	m3.Events(make([]isa.Event, meterStride))
-	if got := b.Status().Cells[0].Retired; got != meterStride {
-		t.Errorf("stride flush: retired = %d, want %d", got, meterStride)
 	}
 }
 
@@ -301,26 +236,4 @@ func TestSlowSubscriberDropsCounted(t *testing.T) {
 	if doc := b2.Status(); doc.EventsSent != 1 || doc.EventsDropped != 0 {
 		t.Errorf("drained subscriber: sent/dropped = %d/%d, want 1/0", doc.EventsSent, doc.EventsDropped)
 	}
-}
-
-// BenchmarkMeterBatch prices the status-board meter at the hook: one
-// op is one engine-sized batch (4096 events) delivered to a batched
-// sink, bare and through a Meter feeding a live board.
-func BenchmarkMeterBatch(b *testing.B) {
-	evs := make([]isa.Event, 4096)
-	b.Run("bare", func(b *testing.B) {
-		inner := &batchSink{}
-		for i := 0; i < b.N; i++ {
-			inner.Events(evs)
-		}
-	})
-	b.Run("metered", func(b *testing.B) {
-		board := NewBoard("bench", nil)
-		board.Register("w", "t")
-		m := NewMeter(board, "w", "t", &batchSink{})
-		for i := 0; i < b.N; i++ {
-			m.Events(evs)
-		}
-		m.Flush()
-	})
 }

@@ -119,15 +119,16 @@ type Experiment struct {
 	// (retired, branches, loads, stores) from every run. The registry
 	// is safe for the concurrent per-target runs.
 	Metrics *telemetry.Registry
-	// Progress, when non-nil, receives per-run heartbeat lines
-	// (typically os.Stderr on -progress). When Log is also set the
-	// heartbeat is routed through the logger as info-level records
-	// instead, so -log-level=error silences it.
+	// Progress, when non-nil, receives a heartbeat per cell (typically
+	// os.Stderr on -progress): the architectural retired count and
+	// rate, fed by the core's per-batch hook, in a final line and — when
+	// it is an *os.File on a terminal — every few seconds during the
+	// run. When Log is also set the heartbeat is routed through the
+	// logger as info-level records instead, so -log-level=error
+	// silences it. An observer, not an analysis: it is not in the
+	// manifest's sink list. Cells write to it from every worker, so it
+	// must be safe for concurrent use (os.Stderr is).
 	Progress io.Writer
-	// ProgressFinalOnly suppresses the periodic heartbeat lines and
-	// keeps only the final per-run summary — the CLIs set it when
-	// stderr is not a terminal so piped output is not spammed.
-	ProgressFinalOnly bool
 	// Parallel is the worker budget of the analysis engine: (workload,
 	// target) cells are spread over this many pool workers, and a cell
 	// with workers to spare (fewer cells than workers) shards its
@@ -218,9 +219,10 @@ type Experiment struct {
 	WrapSink func(workload, target string, attempt int, s isa.Sink) isa.Sink
 
 	// Observability (see internal/obs). All default to off; none of
-	// them can change a result byte — the board and flight recorder
-	// are pass-through observers and everything they record is
-	// stripped by manifest canonicalization.
+	// them can change a result byte — the board, flight recorder,
+	// heartbeat (Progress) and pipeline trace ride on the core's
+	// per-batch hook, not on the sink chain, and everything they
+	// record is stripped by manifest canonicalization.
 
 	// Log, when non-nil, receives structured lifecycle lines for
 	// every cell (start, attempt failures, retries, completion) with
@@ -229,17 +231,18 @@ type Experiment struct {
 	// RunID tags flight-recorder artifacts; usually obs.NewRunID().
 	RunID string
 	// Status, when non-nil, is driven through per-cell lifecycle
-	// transitions and live retired counts — the /statusz and /events
-	// source.
+	// transitions and live retired counts (updated once per batch from
+	// the core's per-batch hook) — the /statusz and /events source.
 	Status *obs.Board
 	// FlightDir, when non-empty, arms the flight recorder: every cell
-	// attempt records its last FlightEvents retired events, and an
-	// attempt that dies with a SimError dumps a post-mortem JSON
-	// artifact into this directory (linked from the manifest failures
-	// block). Cells reaped by the CellTimeout watchdog get no dump:
-	// the recorder lives on the abandoned attempt goroutine, and
-	// crossing goroutines for a dump would race the still-running
-	// simulation.
+	// attempt records its last FlightEvents retired events (fed by the
+	// core's per-batch hook, so the ring includes the batch a failing
+	// sink died in), and an attempt that dies with a SimError dumps a
+	// post-mortem JSON artifact into this directory (linked from the
+	// manifest failures block). Cells reaped by the CellTimeout
+	// watchdog get no dump: the recorder lives on the abandoned attempt
+	// goroutine, and crossing goroutines for a dump would race the
+	// still-running simulation.
 	FlightDir string
 	// FlightEvents is the recorder ring capacity (0 selects
 	// obs.DefaultFlightEvents).
@@ -809,14 +812,13 @@ func runOne(ctx context.Context, c cell, ex Experiment, attempt, lane int, rec *
 	}
 
 	// tracer stays a nil interface when no trace is asked for, so the
-	// cores skip their per-instruction observer call.
+	// cores skip their per-instruction trace call.
 	var tracer simeng.PipelineObserver
 	if ex.Trace != nil {
 		row.Trace = ex.Trace()
 		tracer = row.Trace
 	}
 	p := newPlan(ex, compiled, c.shards, tracer)
-	names, sinks := p.names, p.sinks
 
 	var rm *telemetry.RunMetrics
 	if ex.Metrics != nil {
@@ -827,23 +829,9 @@ func runOne(ctx context.Context, c cell, ex Experiment, attempt, lane int, rec *
 		// same delta the original computation did.
 		rm = telemetry.NewCellMetrics()
 	}
-	var pg *telemetry.Progress
-	if ex.Progress != nil {
-		pg = telemetry.NewProgress(ex.Progress, prog.Name+" "+tgt.String(), 0)
-		if ex.Log != nil {
-			pg.Log = slogx.WithCell(ex.Log, prog.Name, tgt.String(), attempt)
-		}
-		pg.FinalOnly = ex.ProgressFinalOnly
-		names = append(names, "progress")
-		sinks = append(sinks, pg)
-	}
-
 	emu := &simeng.EmulationCore{
 		MaxInstructions: ex.MaxInstructions, Ctx: ctx,
 		ProfileStages: ex.Prof.Enabled(),
-	}
-	if p.model == nil {
-		emu.Observer = tracer
 	}
 	if ex.Log != nil {
 		emu.Log = slogx.WithCell(ex.Log, prog.Name, tgt.String(), attempt)
@@ -852,11 +840,11 @@ func runOne(ctx context.Context, c cell, ex Experiment, attempt, lane int, rec *
 	// fused) stream into the tee, which hands each batch to every
 	// analysis in order and times each delivery.
 	tee := telemetry.NewTee()
-	for i := range sinks {
-		tee.Add(names[i], sinks[i])
+	for i := range p.sinks {
+		tee.Add(p.names[i], p.sinks[i])
 	}
 	var sink isa.Sink
-	if len(sinks) > 0 || rm != nil {
+	if len(p.sinks) > 0 || rm != nil {
 		sink = tee.CountRunMetrics(rm)
 	}
 	var fus *fusion.Pass
@@ -867,30 +855,31 @@ func runOne(ctx context.Context, c cell, ex Experiment, attempt, lane int, rec *
 	if ex.WrapSink != nil {
 		sink = ex.WrapSink(prog.Name, tgt.String(), attempt, sink)
 	}
-	// The pass-through observers wrap the outermost sink: the flight
-	// recorder (so the ring holds exactly what the sinks saw, including
-	// the event a faulty sink died on) and the status-board meter.
-	// Applied after WrapSink so injected sink faults are themselves
-	// recorded.
-	if rec != nil {
-		sink = rec.Wrap(sink)
+	var pg *telemetry.Progress
+	if ex.Progress != nil {
+		pg = telemetry.NewProgress(ex.Progress, prog.Name+" "+tgt.String())
+		if ex.Log != nil {
+			pg.Log = slogx.WithCell(ex.Log, prog.Name, tgt.String(), attempt)
+		}
 	}
-	meter := obs.NewMeter(ex.Status, prog.Name, tgt.String(), sink)
-	if meter != nil {
-		sink = meter
+	if p.model != nil {
+		tracer = nil // the timing model traces its own pipeline
 	}
+	emu.OnBatch = observers(ex.Status, prog.Name, tgt.String(), rec, pg, tracer)
 	setup.End()
 	runStart := ex.Prof.Now()
 	start := time.Now()
 	stats, err := emu.Run(mach, sink)
-	meter.Flush()
 	if err != nil {
 		return row, err
+	}
+	if pg != nil {
+		pg.Finish()
 	}
 	if fus != nil {
 		fus.Flush() // before reading tee stats or analysis results
 	}
-	if len(sinks) > 0 {
+	if len(p.sinks) > 0 {
 		row.Sinks = tee.Stats()
 	}
 	if ex.Prof.Enabled() {
@@ -925,12 +914,38 @@ func runOne(ctx context.Context, c cell, ex Experiment, attempt, lane int, rec *
 		}
 	}
 	telemetry.ApplyCounters(ex.Metrics, row.Counters)
-	if pg != nil {
-		pg.Finish()
-	}
 	row.PathLen = stats.Instructions
 	p.collect(&row)
 	return row, nil
+}
+
+// observers returns the core's per-batch hook feeding the cell's armed
+// observers — status board, flight recorder, heartbeat and the
+// emulation core's pipeline trace — or nil when none is armed. They
+// see the core's architectural stream and are not on the sink chain,
+// so they cannot change what the analyses see or how the core feeds
+// them.
+func observers(board *obs.Board, workload, target string, rec *obs.Recorder, pg *telemetry.Progress, tracer simeng.PipelineObserver) func([]isa.Event, uint64) {
+	if board == nil && rec == nil && pg == nil && tracer == nil {
+		return nil
+	}
+	return func(evs []isa.Event, retired uint64) {
+		board.Progress(workload, target, retired)
+		if rec != nil {
+			rec.Record(evs)
+		}
+		if pg != nil {
+			pg.Observe(retired)
+		}
+		if tracer != nil {
+			// The atomic model: dispatch == issue == retire cycle.
+			k := retired - uint64(len(evs))
+			for i := range evs {
+				tracer.ObserveRetire(&evs[i], k, k, k+1)
+				k++
+			}
+		}
+	}
 }
 
 // fusionRecord converts the pass counters into the manifest fusion

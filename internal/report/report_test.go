@@ -1,6 +1,7 @@
 package report
 
 import (
+	"io"
 	"os"
 	"path/filepath"
 	"strings"
@@ -8,6 +9,9 @@ import (
 
 	"isacmp/internal/cc"
 	"isacmp/internal/ir"
+	"isacmp/internal/isa"
+	"isacmp/internal/obs"
+	"isacmp/internal/telemetry"
 	"isacmp/internal/workloads"
 )
 
@@ -168,4 +172,38 @@ func TestWriteArtifacts(t *testing.T) {
 			t.Errorf("non-GCC12 row in windowAverages: %s", l)
 		}
 	}
+}
+
+// countBatch is a minimal batched sink: it counts what it is handed.
+type countBatch struct{ n int }
+
+func (s *countBatch) Event(*isa.Event)       { s.n++ }
+func (s *countBatch) Events(evs []isa.Event) { s.n += len(evs) }
+
+// BenchmarkBatchHook prices the observers' per-batch hook: one op is
+// one engine-sized batch (4096 events) delivered to a batched sink,
+// bare and preceded by the hook feeding a live status board, a
+// heartbeat and a flight recorder — what the core does per batch in
+// an observed CLI run.
+func BenchmarkBatchHook(b *testing.B) {
+	evs := make([]isa.Event, 4096)
+	b.Run("bare", func(b *testing.B) {
+		sink := &countBatch{}
+		for i := 0; i < b.N; i++ {
+			sink.Events(evs)
+		}
+	})
+	b.Run("board+heartbeat+recorder", func(b *testing.B) {
+		board := obs.NewBoard("bench", nil)
+		board.Register("w", "t")
+		rec := obs.NewRecorder(0, "bench", "w", "t", 1, nil)
+		hook := observers(board, "w", "t", rec, telemetry.NewProgress(io.Discard, "w t"), nil)
+		sink := &countBatch{}
+		var retired uint64
+		for i := 0; i < b.N; i++ {
+			retired += uint64(len(evs))
+			hook(evs, retired)
+			sink.Events(evs)
+		}
+	})
 }

@@ -121,13 +121,19 @@ type PipelineObserver interface {
 
 // EmulationCore executes instructions atomically, one per cycle,
 // streaming each retirement to the sink. MaxInstructions guards
-// against runaway programs (0 means no limit).
+// against runaway programs (0 means no limit). Observers that are not
+// analyses (progress, flight recorder, pipeline trace) ride on OnBatch,
+// never on the sink chain, so they cannot change how the sink is fed.
 type EmulationCore struct {
 	// MaxInstructions aborts the run when exceeded; 0 means unlimited.
 	MaxInstructions uint64
-	// Observer, when non-nil, receives per-instruction timing
-	// (dispatch == issue == retire cycle for the atomic model).
-	Observer PipelineObserver
+	// OnBatch, when non-nil, is called once per retired batch, just
+	// before the sink sees it, with the batch and the run's retired
+	// total so far (evs included); the stepwise loop calls it once per
+	// event with a one-event slice. It must not modify or retain evs.
+	// On the batched path the call is timed as delivery under
+	// ProfileStages.
+	OnBatch func(evs []isa.Event, retired uint64)
 	// Ctx, when non-nil, is the run's wall-clock watchdog: it is
 	// polled every deadlinePoll retirements (once per batch on the
 	// batched path) and the run stops with an ErrDeadline-kind
@@ -216,12 +222,13 @@ func (c *EmulationCore) Run(m Machine, sink isa.Sink) (stats Stats, err error) {
 		err = c.runBatched(bm, sink, &stats)
 		return stats, err
 	}
-	var ev isa.Event
+	var one [1]isa.Event
+	ev := &one[0]
 	max := c.MaxInstructions
-	obs := c.Observer
+	hook := c.OnBatch
 	ctx := c.Ctx
 	for {
-		done, err := m.Step(&ev)
+		done, err := m.Step(ev)
 		if err != nil {
 			c.last = stats
 			return stats, &SimError{
@@ -237,11 +244,11 @@ func (c *EmulationCore) Run(m Machine, sink isa.Sink) (stats Stats, err error) {
 			return stats, nil
 		}
 		stats.Instructions++
-		if sink != nil {
-			sink.Event(&ev)
+		if hook != nil {
+			hook(one[:], stats.Instructions)
 		}
-		if obs != nil {
-			obs.ObserveRetire(&ev, stats.Instructions-1, stats.Instructions-1, stats.Instructions)
+		if sink != nil {
+			sink.Event(ev)
 		}
 		if max != 0 && stats.Instructions >= max {
 			c.last = stats
@@ -280,7 +287,7 @@ func (c *EmulationCore) runBatched(m BatchMachine, sink isa.Sink, stats *Stats) 
 		c.batch = make([]isa.Event, stepBatch)
 	}
 	max := c.MaxInstructions
-	obs := c.Observer
+	hook := c.OnBatch
 	ctx := c.Ctx
 	bs, batched := sink.(isa.BatchSink)
 	prof := c.ProfileStages
@@ -300,9 +307,11 @@ func (c *EmulationCore) runBatched(m BatchMachine, sink isa.Sink, stats *Stats) 
 			c.Stages.SimulateNs += time.Since(stageClock).Nanoseconds()
 		}
 		if n > 0 {
-			base := stats.Instructions
 			if prof {
 				stageClock = time.Now()
+			}
+			if hook != nil {
+				hook(buf[:n], stats.Instructions+uint64(n))
 			}
 			switch {
 			case batched:
@@ -321,12 +330,6 @@ func (c *EmulationCore) runBatched(m BatchMachine, sink isa.Sink, stats *Stats) 
 			}
 			if prof {
 				c.Stages.DeliverNs += time.Since(stageClock).Nanoseconds()
-			}
-			if obs != nil {
-				for i := range buf[:n] {
-					k := base + uint64(i)
-					obs.ObserveRetire(&buf[i], k, k, k+1)
-				}
 			}
 		}
 		if err != nil {

@@ -1,6 +1,7 @@
 package simeng
 
 import (
+	"fmt"
 	"testing"
 
 	"isacmp/internal/a64"
@@ -273,23 +274,111 @@ func (r *recorder) ObserveRetire(ev *isa.Event, dispatch, issue, complete uint64
 	r.lastDone = complete
 }
 
-func TestEmulationCoreObserver(t *testing.T) {
-	m := rvLoop(t, 25)
-	rec := &recorder{}
-	c := &EmulationCore{Observer: rec}
-	stats, err := c.Run(m, nil)
-	if err != nil {
-		t.Fatal(err)
+// hookLog records what the core's OnBatch hook saw.
+type hookLog struct {
+	evs     []isa.Event
+	calls   int
+	retired uint64
+	bad     string
+}
+
+func (h *hookLog) onBatch(evs []isa.Event, retired uint64) {
+	h.calls++
+	h.evs = append(h.evs, evs...)
+	if retired != uint64(len(h.evs)) && h.bad == "" {
+		h.bad = fmt.Sprintf("call %d: retired %d, want the running total %d", h.calls, retired, len(h.evs))
 	}
-	if uint64(rec.n) != stats.Instructions {
-		t.Fatalf("observed %d retires, want %d", rec.n, stats.Instructions)
+	h.retired = retired
+}
+
+// orderedSink checks, at every delivery, that the hook has already
+// seen the event, and panics at its panicAt-th event (0 never).
+type orderedSink struct {
+	hook    *hookLog
+	evs     []isa.Event
+	panicAt int
+	bad     string
+}
+
+func (s *orderedSink) Event(ev *isa.Event) {
+	if i := len(s.evs); (i >= len(s.hook.evs) || s.hook.evs[i] != *ev) && s.bad == "" {
+		s.bad = fmt.Sprintf("sink event %d reached the sink before the hook", i)
 	}
-	if rec.badOrder {
-		t.Fatal("observer saw dispatch/issue/complete out of order")
+	s.evs = append(s.evs, *ev)
+	if len(s.evs) == s.panicAt {
+		panic("sink died")
 	}
-	ps := c.PipelineStats()
-	if ps.Model != "emulation" || ps.Instructions != stats.Instructions || ps.Cycles != stats.Cycles {
-		t.Fatalf("pipeline stats = %+v", ps)
+}
+
+// TestEmulationCoreOnBatch pins the per-batch observer hook on both
+// run loops: every retired event is seen exactly once and in order,
+// retired is the running total ending at Stats.Instructions, the hook
+// sees each batch before the sink does (also the batch a panicking
+// sink dies in), and the batch clamped by the budget is seen.
+func TestEmulationCoreOnBatch(t *testing.T) {
+	const total = 2*stepBatch + 31
+	for _, path := range []struct {
+		name string
+		mach func(total uint64) Machine
+		// calls is the hook call count for n retired events.
+		calls func(n int) int
+	}{
+		{"batched", func(n uint64) Machine { return &scriptMachine{total: n} },
+			func(n int) int { return (n + stepBatch - 1) / stepBatch }},
+		{"stepwise", func(n uint64) Machine { return stepOnly{&scriptMachine{total: n}} },
+			func(n int) int { return n }},
+	} {
+		t.Run(path.name, func(t *testing.T) {
+			h := &hookLog{}
+			sink := &orderedSink{hook: h}
+			c := &EmulationCore{OnBatch: h.onBatch}
+			stats, err := c.Run(path.mach(total), sink)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, bad := range []string{h.bad, sink.bad} {
+				if bad != "" {
+					t.Fatal(bad)
+				}
+			}
+			if len(h.evs) != total || h.retired != stats.Instructions || stats.Instructions != total {
+				t.Fatalf("hook saw %d events ending at retired %d; stats %d, want %d", len(h.evs), h.retired, stats.Instructions, total)
+			}
+			if want := path.calls(total); h.calls != want {
+				t.Fatalf("hook called %d times, want %d", h.calls, want)
+			}
+			for i := range h.evs {
+				if h.evs[i] != sink.evs[i] {
+					t.Fatalf("event %d: hook saw %+v, sink %+v", i, h.evs[i], sink.evs[i])
+				}
+			}
+			if ps := c.PipelineStats(); ps.Model != "emulation" || ps.Instructions != total || ps.Cycles != total {
+				t.Fatalf("pipeline stats = %+v", ps)
+			}
+
+			// A sink panicking at its 200th event: the core reports the
+			// exact in-flight count, and the hook has seen that event.
+			h = &hookLog{}
+			sink = &orderedSink{hook: h, panicAt: 200}
+			_, err = (&EmulationCore{OnBatch: h.onBatch}).Run(path.mach(total), sink)
+			if se := AsSimError(err); se == nil || se.Kind != ErrPanic || se.Retired != 200 {
+				t.Fatalf("panicking sink: err = %v, want a panic after 200 retirements", err)
+			}
+			if sink.bad != "" || len(h.evs) < 200 {
+				t.Fatalf("panicking sink: hook saw %d events (%s), want the event the sink died on", len(h.evs), sink.bad)
+			}
+
+			// The budget clamps the last batch; the hook sees it.
+			const budget = stepBatch + 10
+			h = &hookLog{}
+			_, err = (&EmulationCore{OnBatch: h.onBatch, MaxInstructions: budget}).Run(path.mach(total), nil)
+			if se := AsSimError(err); se == nil || se.Kind != ErrBudget {
+				t.Fatalf("budget: err = %v, want ErrBudget", err)
+			}
+			if h.bad != "" || len(h.evs) != budget || h.retired != budget {
+				t.Fatalf("budget: hook saw %d events ending at retired %d (%s), want %d", len(h.evs), h.retired, h.bad, budget)
+			}
+		})
 	}
 }
 

@@ -4,16 +4,17 @@ import (
 	"fmt"
 	"io"
 	"log/slog"
+	"os"
 	"time"
 
-	"isacmp/internal/isa"
+	"isacmp/internal/obs/slogx"
 )
 
-// Progress is a heartbeat sink for long -scale paper runs: it prints
-// retired-instruction count, retire rate and (when an expected total
-// is known) an ETA to a writer, at most once per Interval. The clock
-// is only consulted every checkEvery events, so the per-event cost is
-// an increment and a branch.
+// Progress is a per-cell heartbeat for long -scale paper runs: fed the
+// cell's architectural retired count once per batch (the core's
+// OnBatch hook), it prints the count and the retire rate at most once
+// per progressInterval, and a final line from Finish. It is an
+// observer, not an analysis sink, so it never sees the fused stream.
 type Progress struct {
 	// W receives the heartbeat lines (typically os.Stderr). Ignored
 	// when Log is set.
@@ -22,94 +23,63 @@ type Progress struct {
 	// as Info records instead of raw writes to W, so -log-level=error
 	// silences them and machine log consumers get attrs, not prose.
 	Log *slog.Logger
-	// FinalOnly suppresses the periodic heartbeat, keeping only the
-	// Finish summary line. The CLIs set it when output is not a
-	// terminal, so piped or redirected runs are not spammed with
-	// interactive progress.
-	FinalOnly bool
-	// Interval is the minimum time between lines (default 2s).
-	Interval time.Duration
-	// ExpectedTotal, when non-zero, enables the ETA column.
-	ExpectedTotal uint64
 	// Label prefixes every line (e.g. "stream AArch64/gcc12").
 	Label string
 
-	retired    uint64
-	sinceCheck uint64
-	start      time.Time
-	lastPrint  time.Time
+	// finalOnly suppresses the periodic lines, keeping only Finish's:
+	// set unless W is a terminal, so piped or redirected runs are not
+	// spammed with interactive progress.
+	finalOnly bool
+	retired   uint64
+	start     time.Time
+	lastPrint time.Time
 }
 
-// checkEvery is how many events pass between clock reads.
-const checkEvery = 1 << 20
+// progressInterval is the minimum time between periodic lines.
+const progressInterval = 2 * time.Second
 
-// NewProgress returns a heartbeat writing to w every interval (0
-// means 2s).
-func NewProgress(w io.Writer, label string, interval time.Duration) *Progress {
-	if interval <= 0 {
-		interval = 2 * time.Second
-	}
-	return &Progress{W: w, Interval: interval, Label: label}
-}
-
-// Event counts one retired instruction and occasionally heartbeats.
-func (p *Progress) Event(ev *isa.Event) {
-	p.retired++
-	if p.sinceCheck++; p.sinceCheck < checkEvery {
-		return
-	}
-	p.sinceCheck = 0
+// NewProgress returns a heartbeat writing to w. Its clock starts now,
+// so build it just before the run it reports on.
+func NewProgress(w io.Writer, label string) *Progress {
+	f, ok := w.(*os.File)
 	now := time.Now()
-	if p.start.IsZero() {
-		p.start, p.lastPrint = now, now
+	return &Progress{
+		W: w, Label: label,
+		finalOnly: !ok || !slogx.IsTerminal(f),
+		start:     now, lastPrint: now,
+	}
+}
+
+// Observe records the run's retired total so far and heartbeats when
+// the interval has passed: one clock read per call.
+func (p *Progress) Observe(retired uint64) {
+	p.retired = retired
+	if p.finalOnly {
 		return
 	}
-	if p.FinalOnly || now.Sub(p.lastPrint) < p.Interval {
-		return
+	if now := time.Now(); now.Sub(p.lastPrint) >= progressInterval {
+		p.lastPrint = now
+		p.print(now)
 	}
-	p.lastPrint = now
-	p.print(now)
 }
 
 // Finish prints a final line with the end-of-run totals.
-func (p *Progress) Finish() {
-	if p.start.IsZero() {
-		p.start = time.Now()
-	}
-	p.print(time.Now())
-}
-
-// Retired returns the number of events observed.
-func (p *Progress) Retired() uint64 { return p.retired }
+func (p *Progress) Finish() { p.print(time.Now()) }
 
 func (p *Progress) print(now time.Time) {
 	elapsed := now.Sub(p.start)
 	rate := RateMIPS(p.retired, elapsed)
-	var eta time.Duration
-	if p.ExpectedTotal > p.retired && rate > 0 {
-		remaining := float64(p.ExpectedTotal-p.retired) / (rate * 1e6)
-		eta = time.Duration(remaining * float64(time.Second)).Truncate(time.Second)
-	}
 	if p.Log != nil {
-		attrs := []any{
+		p.Log.Info("progress",
 			"label", p.Label,
 			"retired", p.retired,
 			"mips", rate,
-			"elapsed", elapsed.Truncate(time.Millisecond).String(),
-		}
-		if eta > 0 {
-			attrs = append(attrs, "eta", eta.String())
-		}
-		p.Log.Info("progress", attrs...)
+			"elapsed", elapsed.Truncate(time.Millisecond).String())
 		return
 	}
 	if p.W == nil {
 		return
 	}
-	line := fmt.Sprintf("%s: %d retired, %.1f Minst/s, %s elapsed",
+	fmt.Fprintf(p.W, "%s: %d retired, %.1f Minst/s, %s elapsed\n",
 		p.Label, p.retired, rate, elapsed.Truncate(time.Millisecond))
-	if eta > 0 {
-		line += fmt.Sprintf(", ETA %s", eta)
-	}
-	fmt.Fprintln(p.W, line)
 }

@@ -25,7 +25,8 @@ type PipelineSpan struct {
 
 // PipelineTrace is a sampled, bounded recorder of per-instruction
 // pipeline timing. It implements simeng.PipelineObserver: attach it to
-// a core model's Tracer/Observer field. Every Sample-th instruction is
+// a timing model's Tracer field, or feed it from the emulation core's
+// OnBatch hook (report does both). Every Sample-th instruction is
 // recorded into a ring buffer of Cap spans; once the ring wraps, the
 // oldest spans are overwritten (Dropped counts them), so tracing a
 // billion-instruction run costs a fixed amount of memory.

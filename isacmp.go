@@ -607,15 +607,12 @@ type RunConfig struct {
 	Metrics *MetricsRegistry
 	// Trace, when non-nil, records pipeline timing from the core.
 	Trace *PipelineTrace
-	// Progress, when non-nil, receives heartbeat lines during the run
-	// and a final line after it. When Log is also set the heartbeat is
-	// routed through the logger as info-level records, so a logger at
-	// the error level silences it.
+	// Progress, when non-nil, receives a final heartbeat line per cell
+	// (retired instructions and retire rate), plus periodic lines
+	// during the run when it is an *os.File on a terminal. When Log is
+	// also set the heartbeat is routed through the logger as
+	// info-level records, so a logger at the error level silences it.
 	Progress io.Writer
-	// ProgressFinalOnly suppresses the periodic heartbeat lines and
-	// keeps only the final summary (set when stderr is not a
-	// terminal).
-	ProgressFinalOnly bool
 	// Parallel is the worker budget of the run. Every sink is fed in
 	// order through the instrumented tee; above 1 the windowed
 	// critical-path computation is sharded over that many workers.
@@ -761,30 +758,29 @@ func (b *Binary) RunInstrumented(cfg RunConfig) (*Result, RunRecord, error) {
 func (cfg RunConfig) experiment() report.Experiment {
 	a := cfg.Analyses
 	ex := report.Experiment{
-		PathLength:        a.PathLength,
-		CritPath:          a.CritPath,
-		Scaled:            a.ScaledCritPath,
-		Windowed:          a.Windowed,
-		WindowSizes:       a.WindowSizes,
-		WindowStride:      a.WindowStride,
-		Mix:               a.Mix || a.Branches,
-		DepDistances:      a.DepDistances,
-		Latencies:         a.Latencies,
-		Core:              cfg.Core,
-		Cache:             cfg.Cache,
-		Metrics:           cfg.Metrics,
-		Progress:          cfg.Progress,
-		ProgressFinalOnly: cfg.ProgressFinalOnly,
-		Parallel:          max(cfg.Parallel, 0),
-		Fusion:            cfg.Fusion,
-		Ctx:               cfg.Ctx,
-		MaxInstructions:   cfg.MaxInstructions,
-		Log:               cfg.Log,
-		RunID:             cfg.RunID,
-		Status:            cfg.Status,
-		FlightDir:         cfg.FlightDir,
-		FlightEvents:      cfg.FlightEvents,
-		Durable:           cfg.Durable,
+		PathLength:      a.PathLength,
+		CritPath:        a.CritPath,
+		Scaled:          a.ScaledCritPath,
+		Windowed:        a.Windowed,
+		WindowSizes:     a.WindowSizes,
+		WindowStride:    a.WindowStride,
+		Mix:             a.Mix || a.Branches,
+		DepDistances:    a.DepDistances,
+		Latencies:       a.Latencies,
+		Core:            cfg.Core,
+		Cache:           cfg.Cache,
+		Metrics:         cfg.Metrics,
+		Progress:        cfg.Progress,
+		Parallel:        max(cfg.Parallel, 0),
+		Fusion:          cfg.Fusion,
+		Ctx:             cfg.Ctx,
+		MaxInstructions: cfg.MaxInstructions,
+		Log:             cfg.Log,
+		RunID:           cfg.RunID,
+		Status:          cfg.Status,
+		FlightDir:       cfg.FlightDir,
+		FlightEvents:    cfg.FlightEvents,
+		Durable:         cfg.Durable,
 	}
 	if cfg.Trace != nil {
 		ex.Trace = func() *PipelineTrace { return cfg.Trace }
