@@ -31,10 +31,14 @@ race:
 	$(GO) test -race ./...
 
 # differential runs the cross-core / cross-ISA trace-equivalence
-# harness, the -parallel determinism tests and the agreement of the
-# matrix, RunInstrumented and Analyse paths under the race detector.
+# harness, the -parallel determinism tests, the agreement of the
+# matrix, RunInstrumented and Analyse paths, and the windowed-CP oracle
+# (an explicit dependence-graph reference checked against the
+# single-pass tracker, the per-window fold and the sharded analysis on
+# random streams and on every tiny-scale cell) under the race detector.
 differential:
 	$(GO) test -race -count=1 -run 'TestDifferential|TestParallel|TestRunInstrumentedParallel|TestCrossPathAgreement' .
+	$(GO) test -race -count=1 -run 'TestWindowedCPOracle' ./internal/core
 
 # golden checks the pinned paper artifacts (Table 1/2, Figure 1/2,
 # canonical manifest) and the emulation core's pipeline trace, fed
@@ -125,6 +129,7 @@ fuzz-smoke:
 	$(GO) test -fuzz FuzzELF -fuzztime 5s ./internal/elfio
 	$(GO) test -fuzz FuzzFusionStream -fuzztime 5s ./internal/fusion
 	$(GO) test -fuzz FuzzJournalReplay -fuzztime 5s ./internal/durable
+	$(GO) test -fuzz FuzzWindowedCP -fuzztime 5s ./internal/core
 
 # bench exercises the manifest path end to end: one instrumented run
 # per cell at tiny scale, written to a throwaway file; then the same

@@ -241,8 +241,8 @@ func TestFusionStepwiseByteIdentical(t *testing.T) {
 
 // TestFusionParallelByteIdentical extends the -parallel determinism
 // contract to fusion-on runs: the rewritten stream must feed the
-// sharded windowed CP (the width with spare workers per cell) exactly
-// as it feeds the sequential one.
+// analyses identically at every worker budget, spare workers per cell
+// included.
 func TestFusionParallelByteIdentical(t *testing.T) {
 	ex := MatrixExperiment{
 		PathLength: true, CritPath: true, Scaled: true, Windowed: true,

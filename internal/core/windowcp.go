@@ -19,7 +19,13 @@ import "isacmp/internal/isa"
 // windows by their true length when averaging ILP.
 //
 // Several window sizes are evaluated simultaneously in one pass over
-// the stream, sharing a ring buffer sized for the largest window.
+// the stream. At the paper's stride of W/2 (up to eight even sizes) a
+// single-pass tracker carries per-event chain depths across
+// half-blocks (see halfBlocks), so no window is ever re-folded. Other
+// configurations — an explicit stride other than W/2, odd sizes, more
+// than eight sizes — and the final snapped tail window fold each
+// window from scratch over a ring buffer sized for the largest window
+// (see cpScratch).
 type WindowedCritPath struct {
 	sizes   []int
 	strides []uint64
@@ -36,6 +42,9 @@ type WindowedCritPath struct {
 	next    []uint64
 	results []windowAccum
 
+	// hb is the single-pass tracker, or nil when the configuration is
+	// folded window by window through scratch.
+	hb      *halfBlocks
 	scratch cpScratch
 }
 
@@ -85,9 +94,10 @@ func (c *cpScratch) reset() {
 }
 
 // step folds one event into the dependence state and returns its
-// completion depth. Both the sequential and the sharded windowed-CP
-// implementations fold windows with exactly this function, which is
-// what makes their results bit-identical.
+// completion depth. Every window folded from scratch — by the sharded
+// implementation, by WindowedCritPath outside the single-pass
+// tracker's configurations, and for the final tail window — goes
+// through this function.
 func (c *cpScratch) step(e *wev) uint64 {
 	var longest uint64
 	for s := uint8(0); s < e.nsrc; s++ {
@@ -329,13 +339,15 @@ func NewWindowedCritPathStride(sizes []int, stride int) *WindowedCritPath {
 		}
 		next[i] = uint64(s)
 	}
+	strides := windowStrides(sizes, stride)
 	return &WindowedCritPath{
 		sizes:    append([]int(nil), sizes...),
-		strides:  windowStrides(sizes, stride),
+		strides:  strides,
 		ring:     make([]wev, ringLen),
 		ringMask: uint64(ringLen - 1),
 		next:     next,
 		results:  make([]windowAccum, len(sizes)),
+		hb:       newHalfBlocks(sizes, strides, ringLen),
 		scratch:  newCPScratch(),
 	}
 }
@@ -348,10 +360,20 @@ func (w *WindowedCritPath) Events(evs []isa.Event) {
 	}
 }
 
+// SinglePass reports whether w runs the single-pass tracker, i.e. its
+// sizes and stride are ones the tracker covers. Sharding a stream that
+// the tracker takes gains nothing: the tracker on one goroutine is as
+// fast as the fold over two.
+func (w *WindowedCritPath) SinglePass() bool { return w.hb != nil }
+
 // Event buffers one instruction and evaluates any windows that are due.
 func (w *WindowedCritPath) Event(ev *isa.Event) {
 	w.ring[w.pos&w.ringMask].fill(ev)
 	w.pos++
+	if w.hb != nil {
+		w.hb.event(ev, w.results)
+		return
+	}
 
 	for i := range w.next {
 		// A window [pos-size, pos) completes when pos >= size and

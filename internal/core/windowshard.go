@@ -17,11 +17,14 @@ const shardChunk = 8192
 // WindowedCritPath, but concurrently: windows at different start
 // positions are independent (paper section 6), so the stream is split
 // into chunks of consecutive window starts and each chunk is evaluated
-// by a shard worker with its own dependence scratch. Per-size sums and
-// window counts are integers, so merging shard results is exact and
-// independent of completion order — parallel results are bit-identical
-// to the sequential implementation (enforced by tests and by the
-// -parallel determinism contract in the README).
+// by a shard worker that folds each window from scratch with its own
+// dependence scratch. Per-size sums and window counts are integers, so
+// merging shard results is exact and independent of completion order.
+// At the paper's stride the sequential implementation uses the
+// single-pass tracker instead, so the two are different algorithms
+// held to bit-identical results by tests (against each other and
+// against an explicit dependence-graph oracle) and by the -parallel
+// determinism contract in the README.
 //
 // Event must be called from a single goroutine. Results flushes the
 // final chunk and the partial tail window, waits for every shard, and

@@ -349,7 +349,9 @@ func TestObsByteIdentity(t *testing.T) {
 		t.Errorf("heartbeat wrote %d lines, want one final line per healthy cell (3):\n%s", n, heartbeat.String())
 	}
 
-	// And the board saw every healthy cell complete.
+	// And the board saw every healthy cell complete, and shows the
+	// failed cell at its failure record's retirement count, not at the
+	// last batch-end count the per-batch hook reported.
 	doc := board.Status()
 	if doc.States["done"] != 3 || doc.States["failed"] != 1 {
 		t.Errorf("board states = %+v, want 3 done and 1 failed", doc.States)
@@ -357,6 +359,9 @@ func TestObsByteIdentity(t *testing.T) {
 	for _, c := range doc.Cells {
 		if c.State == obs.CellDone && c.Retired == 0 {
 			t.Errorf("cell %s/%s retired count never reached the board", c.Workload, c.Target)
+		}
+		if c.State == obs.CellFailed && c.Retired != 200 {
+			t.Errorf("failed cell %s/%s: board retired %d, failure record retired 200", c.Workload, c.Target, c.Retired)
 		}
 	}
 }

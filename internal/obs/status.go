@@ -194,7 +194,9 @@ func (b *Board) transition(workload, target string, state CellState, attempt int
 	}
 	c.state = state
 	c.attempt = attempt
-	if retired > 0 {
+	if retired > 0 || state == CellFailed {
+		// A failure's count is exact even when 0; other transitions
+		// without a count keep the last progress report.
 		c.retired = retired
 	}
 	if seconds > 0 {
@@ -279,12 +281,14 @@ func (b *Board) Done(workload, target string, seconds float64, retired uint64) {
 	b.transition(workload, target, CellDone, 0, retired, seconds, "")
 }
 
-// Failed marks a cell permanently failed with its taxonomy reason.
-func (b *Board) Failed(workload, target string, attempt int, reason string) {
+// Failed marks a cell permanently failed with its taxonomy reason and
+// the failure's in-flight retirement count, which replaces the last
+// batch-end count Progress reported.
+func (b *Board) Failed(workload, target string, attempt int, reason string, retired uint64) {
 	if b == nil {
 		return
 	}
-	b.transition(workload, target, CellFailed, attempt, 0, 0, reason)
+	b.transition(workload, target, CellFailed, attempt, retired, 0, reason)
 }
 
 // Served marks a cell terminal without simulation: its result was
@@ -307,7 +311,7 @@ func (b *Board) Served(workload, target, source string, failed bool, reason stri
 	c.source = source
 	b.mu.Unlock()
 	if failed {
-		b.transition(workload, target, CellFailed, 0, 0, 0, reason)
+		b.transition(workload, target, CellFailed, 0, retired, 0, reason)
 	} else {
 		b.transition(workload, target, CellDone, 0, retired, 0, "")
 	}

@@ -38,7 +38,8 @@ func TestBoardLifecycle(t *testing.T) {
 	b.Running("stream", "a64", 1)
 	b.Retrying("stream", "a64", 1, "mem-fault")
 	b.Running("stream", "a64", 2)
-	b.Failed("stream", "a64", 2, "mem-fault")
+	b.Progress("stream", "a64", 4096)
+	b.Failed("stream", "a64", 2, "mem-fault", 200)
 
 	doc = b.Status()
 	if doc.States["done"] != 1 || doc.States["failed"] != 1 || doc.States["pending"] != 1 {
@@ -56,8 +57,10 @@ func TestBoardLifecycle(t *testing.T) {
 	}
 	for _, c := range doc.Cells {
 		if c.Workload == "stream" && c.Target == "a64" {
-			if c.State != CellFailed || c.Reason != "mem-fault" || c.Attempt != 2 {
-				t.Errorf("failed cell = %+v", c)
+			// The failure's in-flight count replaces the last batch-end
+			// progress report.
+			if c.State != CellFailed || c.Reason != "mem-fault" || c.Attempt != 2 || c.Retired != 200 {
+				t.Errorf("failed cell = %+v, want retired 200", c)
 			}
 		}
 	}
@@ -173,7 +176,7 @@ func TestNilBoard(t *testing.T) {
 	b.Running("w", "t", 1)
 	b.Retrying("w", "t", 1, "x")
 	b.Done("w", "t", 1, 1)
-	b.Failed("w", "t", 1, "x")
+	b.Failed("w", "t", 1, "x", 1)
 	b.Progress("w", "t", 10)
 	b.Unsubscribe(b.Subscribe())
 	if b.RunID() != "" {

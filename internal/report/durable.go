@@ -126,7 +126,7 @@ func replayRow(hit *durable.Hit, hash string, prog *ir.Program, tgt cc.Target, e
 		journalFinished(ex, prog.Name, tgt.String(), hash, &row, true, clog)
 	}
 	if f := row.Failure; f != nil {
-		ex.Status.Served(prog.Name, tgt.String(), hit.Source, true, f.Reason, 0)
+		ex.Status.Served(prog.Name, tgt.String(), hit.Source, true, f.Reason, f.Retired)
 		clog.Info("cell failure replayed", "source", hit.Source, "reason", f.Reason)
 	} else {
 		ex.Status.Served(prog.Name, tgt.String(), hit.Source, false, "", row.Core.Instructions)

@@ -14,6 +14,7 @@ import (
 	"isacmp/internal/durable"
 	"isacmp/internal/faultinject"
 	"isacmp/internal/ir"
+	"isacmp/internal/obs"
 	"isacmp/internal/telemetry"
 	"isacmp/internal/workloads"
 )
@@ -277,7 +278,15 @@ func TestDurableFailureReplay(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer res.Close()
-	gotManifest, gotText, st := runDurable(t, progs, ex, res)
+	board := obs.NewBoard("replay", nil)
+	rex := ex
+	rex.Durable, rex.Status = res, board
+	all, _, err := RunSuite(progs, rex)
+	if err != nil {
+		t.Fatal(err)
+	}
+	gotManifest, gotText := canonManifest(t, progs, all)
+	st = res.Stats()
 	if st.Resumed != 8 || st.Computed != 0 {
 		t.Errorf("stats = %+v, want every cell (the failure included) replayed", st)
 	}
@@ -287,6 +296,22 @@ func TestDurableFailureReplay(t *testing.T) {
 	if gotManifest != wantManifest || gotText != wantText {
 		t.Error("failure-replay output drifted from original run")
 	}
+
+	// The board shows the replayed failure at its record's retired count.
+	fails := CollectFailures(all)
+	if len(fails) != 1 || fails[0].Retired == 0 {
+		t.Fatalf("replayed failures = %+v, want one with a retired count", fails)
+	}
+	f := fails[0]
+	for _, c := range board.Status().Cells {
+		if c.Workload == f.Workload && c.Target == f.Target {
+			if c.State != obs.CellFailed || c.Source != "journal" || c.Retired != f.Retired {
+				t.Errorf("board cell %+v, want failed from journal with retired %d", c, f.Retired)
+			}
+			return
+		}
+	}
+	t.Errorf("board has no cell %s/%s", f.Workload, f.Target)
 }
 
 // TestDurableDrainedCellsRerun pins the drain journaling rule: cells

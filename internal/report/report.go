@@ -132,7 +132,9 @@ type Experiment struct {
 	// Parallel is the worker budget of the analysis engine: (workload,
 	// target) cells are spread over this many pool workers, and a cell
 	// with workers to spare (fewer cells than workers) shards its
-	// windowed-CP computation over workers/cells goroutines. 1 runs
+	// windowed-CP computation over workers/cells goroutines when the
+	// single-pass tracker does not cover its window sizes and stride
+	// (see core.WindowedCritPath.SinglePass). 1 runs
 	// everything strictly sequentially; 0 selects GOMAXPROCS.
 	// Negative values are rejected by Validate. Results are
 	// byte-identical for every value (see the README's determinism
@@ -435,7 +437,8 @@ func RunTargets(progs []*ir.Program, targets []cc.Target, ex Experiment) ([][]Ro
 // compiled, whatever compiler options produced it — on the caller's
 // goroutine, under the same attempt loop, durability layer and
 // observers as a RunSuite cell. The whole worker budget goes to the
-// cell's windowed-CP shards. The error is the cell's final failure
+// cell's windowed-CP shards, used when the single-pass tracker does
+// not cover the configuration. The error is the cell's final failure
 // (a *simeng.SimError for a computed cell, so errors.Is matches the
 // taxonomy sentinels) or an invalid configuration; the row then
 // carries the failure record.
@@ -472,7 +475,8 @@ func (ex *Experiment) drained() bool {
 // cell is one (workload, target) slot. compiled, when non-nil, is the
 // code the cell executes; otherwise prog is compiled for tgt with the
 // default options. shards is the cell's share of the worker budget:
-// above 1 its windowed CP runs sharded over that many goroutines.
+// above 1 a windowed CP outside the single-pass tracker runs sharded
+// over that many goroutines.
 type cell struct {
 	prog     *ir.Program
 	tgt      cc.Target
@@ -578,7 +582,7 @@ func runCell(ctx context.Context, c cell, ex Experiment, lane int) (Row, error) 
 			ex.Status.Retrying(prog.Name, tgt.String(), attempt, simeng.Reason(last))
 		}
 	}
-	ex.Status.Failed(prog.Name, tgt.String(), len(history), simeng.Reason(last))
+	ex.Status.Failed(prog.Name, tgt.String(), len(history), simeng.Reason(last), last.Retired)
 	clog.Error("cell failed", "reason", simeng.Reason(last),
 		"attempts", len(history), "postmortem", postmortem)
 	failed := Row{
@@ -690,8 +694,9 @@ func (p *plan) add(name string, s isa.Sink) {
 }
 
 // newPlan builds the sinks ex selects for a cell compiled into
-// compiled. shards is the cell's worker share: above 1 the windowed
-// analysis is the sharded implementation (bit-identical results).
+// compiled. shards is the cell's worker share: above 1, a windowed
+// configuration the single-pass tracker does not cover runs on the
+// sharded implementation (bit-identical results).
 // tracer, when non-nil, is attached to the timing model.
 func newPlan(ex Experiment, compiled *cc.Compiled, shards int, tracer simeng.PipelineObserver) *plan {
 	p := &plan{}
@@ -718,10 +723,10 @@ func newPlan(ex Experiment, compiled *cc.Compiled, shards int, tracer simeng.Pip
 		if sizes == nil {
 			sizes = core.PaperWindowSizes()
 		}
-		if shards > 1 {
+		if w := core.NewWindowedCritPathStride(sizes, ex.WindowStride); shards > 1 && !w.SinglePass() {
 			p.win = core.NewShardedWindowedCP(sizes, ex.WindowStride, shards)
 		} else {
-			p.win = core.NewWindowedCritPathStride(sizes, ex.WindowStride)
+			p.win = w
 		}
 		p.add("windowcp", p.win)
 	}

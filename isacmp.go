@@ -614,8 +614,10 @@ type RunConfig struct {
 	// info-level records, so a logger at the error level silences it.
 	Progress io.Writer
 	// Parallel is the worker budget of the run. Every sink is fed in
-	// order through the instrumented tee; above 1 the windowed
-	// critical-path computation is sharded over that many workers.
+	// order through the instrumented tee; above 1 a windowed
+	// critical-path configuration the single-pass tracker does not
+	// cover (a stride other than W/2, odd sizes, more than eight sizes)
+	// is sharded over that many workers.
 	// 0 or negative selects GOMAXPROCS. Analysis results are identical
 	// for every value — only the measured per-sink times (a telemetry
 	// artifact, zeroed by manifest canonicalization) differ.
@@ -821,7 +823,8 @@ type (
 	// for a matrix run. Parallel: 1 is strictly sequential, 0 or
 	// negative selects GOMAXPROCS. The pool runs one cell per worker;
 	// only when workers outnumber cells does each cell shard its
-	// windowed CP over workers/cells goroutines. Results are
+	// windowed CP over workers/cells goroutines, and then only outside
+	// the single-pass tracker's configurations. Results are
 	// byte-identical for every value.
 	MatrixExperiment = report.Experiment
 	// MatrixRow is one (workload, target) cell's results.

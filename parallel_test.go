@@ -73,9 +73,11 @@ func stepwise(ex MatrixExperiment) MatrixExperiment {
 // multi-worker pool must produce byte-identical report text and
 // byte-identical canonicalized manifests — both when the pool has
 // fewer workers than cells (every cell sequential) and when it has
-// spare workers (every cell shards its windowed CP). The same holds
-// with every watchdog — wall-clock deadline, instruction budget and
-// retries — armed generously enough that none fires.
+// spare workers (at the paper's stride every cell still runs the
+// single-pass tracker; at stride 1024, outside the tracker, every cell
+// shards its windowed CP). The same holds with every watchdog —
+// wall-clock deadline, instruction budget and retries — armed
+// generously enough that none fires.
 func TestParallelByteIdentical(t *testing.T) {
 	seqText, seqManifest := matrixArtifacts(t, 1)
 	full := MatrixExperiment{PathLength: true, CritPath: true, Scaled: true, Windowed: true}
@@ -100,12 +102,22 @@ func TestParallelByteIdentical(t *testing.T) {
 			t.Fatalf("%s, parallel=%d: canonicalized manifest differs from sequential", v.name, v.workers)
 		}
 	}
+
+	strided := full
+	strided.WindowStride, strided.Parallel = 1024, 1
+	seqText, seqManifest = matrixArtifactsEx(t, strided)
+	strided.Parallel = 2 * tinyCells
+	text, manifest := matrixArtifactsEx(t, strided)
+	if !bytes.Equal(seqText, text) || !bytes.Equal(seqManifest, manifest) {
+		t.Fatalf("sharded cells at stride 1024, parallel=%d: output differs from sequential", strided.Parallel)
+	}
 }
 
 // TestRunInstrumentedParallelIdentical: the instrumented single-run
 // path (RunConfig.Parallel) must also be invariant — same Result, and
-// byte-identical canonicalized manifest — whether the windowed CP runs
-// sequentially or sharded over the worker budget.
+// byte-identical canonicalized manifest — at every worker budget, at
+// the paper's stride (the single-pass tracker at every width) and at
+// stride 1024 (sharded over the worker budget above 1).
 func TestRunInstrumentedParallelIdentical(t *testing.T) {
 	prog := Workload("stream", Tiny)
 	bin, err := Compile(prog, Target{Arch: RV64, Flavor: GCC12})
@@ -132,13 +144,16 @@ func TestRunInstrumentedParallelIdentical(t *testing.T) {
 		return res, buf.Bytes()
 	}
 
-	seqRes, seqManifest := run(1)
-	parRes, parManifest := run(4)
-	if !reflect.DeepEqual(seqRes, parRes) {
-		t.Fatalf("results differ:\nsequential %+v\nparallel   %+v", seqRes, parRes)
-	}
-	if !bytes.Equal(seqManifest, parManifest) {
-		t.Fatalf("canonicalized manifests differ:\n%s\nvs\n%s", seqManifest, parManifest)
+	for _, stride := range []int{0, 1024} {
+		sel.WindowStride = stride
+		seqRes, seqManifest := run(1)
+		parRes, parManifest := run(4)
+		if !reflect.DeepEqual(seqRes, parRes) {
+			t.Fatalf("stride %d: results differ:\nsequential %+v\nparallel   %+v", stride, seqRes, parRes)
+		}
+		if !bytes.Equal(seqManifest, parManifest) {
+			t.Fatalf("stride %d: canonicalized manifests differ:\n%s\nvs\n%s", stride, seqManifest, parManifest)
+		}
 	}
 }
 
